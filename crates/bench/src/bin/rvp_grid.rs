@@ -83,8 +83,8 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use rvp_bench::grid::{
-    grid_config_fnv, load_manifest, run_one_cell, verify_manifest_cell, write_atomic, CellOptions,
-    CellSuccess, GridCell, Manifest, ManifestCell, PoisonedCell,
+    grid_config_fnv, load_manifest, run_one_cell, verify_manifest_cell, write_atomic, write_cell,
+    CellOptions, CellSuccess, GridCell, Manifest, ManifestCell, PoisonedCell,
 };
 use rvp_bench::runner_from_env;
 use rvp_core::{
@@ -626,7 +626,7 @@ fn run_cells(
     loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         let Some(cell) = cells.get(i) else { return };
-        match run_one_cell(runner, cell, opts, out_dir) {
+        match run_one_cell(runner, cell, opts).and_then(|run| write_cell(out_dir, run, opts)) {
             Ok(done) => {
                 if let Some(result) = &done.result {
                     println!(

@@ -30,6 +30,7 @@ use std::sync::mpsc;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use rvp_core::span::SpanGuard;
 use rvp_core::{
     fnv1a, journal_line, log, parse_journal_line, CancelToken, Json, RunResult, Runner, SchemeSpec,
     SimError, SourceMode, ToJson, Workload,
@@ -292,20 +293,39 @@ fn backoff(attempt_idx: u32) {
     std::thread::sleep(Duration::from_millis(ms));
 }
 
-/// Runs one cell to durable completion: degradation ladder across
-/// committed-stream sources, bounded retry-with-backoff for transient
-/// faults, containment of panics and hangs, and an atomic, checksummed
-/// cell JSON write. Returns the poisoned record (never panics, never
-/// aborts the sweep) if every rung fails.
+/// A cell whose simulation succeeded; nothing is written yet.
+pub struct CellRun {
+    /// Cell identity (`workload/scheme`).
+    pub label: String,
+    /// The simulation result.
+    pub result: RunResult,
+    /// Attempts spent so far, the first included.
+    pub attempts: u64,
+    /// The committed-stream source that finally served the cell.
+    pub source: &'static str,
+    /// When the cell's first attempt started.
+    pub started: Instant,
+    /// The cell's `grid.cell.run` span, still open so that work done
+    /// with the result (the grid's cell write) nests under it. Dropping
+    /// the run closes it.
+    pub span: SpanGuard,
+}
+
+/// Runs one cell's simulation under the full containment stack:
+/// degradation ladder across committed-stream sources, bounded
+/// retry-with-backoff for transient faults, containment of panics and
+/// hangs. Returns the poisoned record (never panics, never aborts the
+/// sweep) if every rung fails. Persisting the result is the caller's
+/// business: `rvp-grid` writes it with [`write_cell`], the daemon puts
+/// it in its result cache.
 pub fn run_one_cell(
     runner: &Runner,
     cell: &GridCell,
     opts: CellOptions,
-    out_dir: &Path,
-) -> Result<CellSuccess, PoisonedCell> {
+) -> Result<CellRun, PoisonedCell> {
     let label = cell.label();
-    let mut cell_span = rvp_core::span!("grid.cell.run", { cell: label.as_str() });
-    let start = Instant::now();
+    let mut span = rvp_core::span!("grid.cell.run", { cell: label.as_str() });
+    let started = Instant::now();
     let mut attempts = 0u64;
     let mut last: Option<AttemptError> = None;
     let mut last_stage = runner.source_mode.name();
@@ -327,35 +347,15 @@ pub fn run_one_cell(
             };
             match outcome {
                 Ok(result) => {
-                    let emitted = {
-                        let _span = rvp_core::span!("grid.cell.write", { cell: label.as_str() });
-                        emit_with_retry(out_dir, &result, opts, &mut attempts)
-                    };
-                    match emitted {
-                        Ok((file, file_fnv)) => {
-                            let committed = result.stats.committed;
-                            cell_span.add_field("source", mode.name());
-                            cell_span.add_field("retries", attempts - 1);
-                            return Ok(CellSuccess {
-                                label,
-                                result: Some(result),
-                                committed,
-                                file,
-                                file_fnv,
-                                seconds: start.elapsed().as_secs_f64(),
-                                retries: attempts - 1,
-                                source: mode.name(),
-                                resumed: false,
-                            });
-                        }
-                        Err(e) => {
-                            // The simulation succeeded but its result
-                            // could not be made durable even after
-                            // retries; re-simulating will not fix the
-                            // disk.
-                            return Err(poisoned(&label, &e, mode.name(), attempts));
-                        }
-                    }
+                    span.add_field("source", mode.name());
+                    return Ok(CellRun {
+                        label,
+                        result,
+                        attempts,
+                        source: mode.name(),
+                        started,
+                        span,
+                    });
                 }
                 Err(e) => {
                     log::warn(
@@ -387,6 +387,39 @@ pub fn run_one_cell(
     }
     let error = last.map_or_else(|| "unknown failure".to_owned(), |e| e.describe());
     Err(poisoned(&label, &AttemptError::Sim(error), last_stage, attempts))
+}
+
+/// Makes a simulated cell durable: an atomic, checksummed cell JSON
+/// write under `out_dir`, nested in the cell's `grid.cell.run` span,
+/// with its own transient retries counted in the cell's attempts. A
+/// write that fails every retry poisons the cell — re-simulating will
+/// not fix the disk.
+pub fn write_cell(
+    out_dir: &Path,
+    mut run: CellRun,
+    opts: CellOptions,
+) -> Result<CellSuccess, PoisonedCell> {
+    let emitted = {
+        let _span = rvp_core::span!("grid.cell.write", { cell: run.label.as_str() });
+        emit_with_retry(out_dir, &run.result, opts, &mut run.attempts)
+    };
+    match emitted {
+        Ok((file, file_fnv)) => {
+            run.span.add_field("retries", run.attempts - 1);
+            Ok(CellSuccess {
+                label: run.label,
+                committed: run.result.stats.committed,
+                result: Some(run.result),
+                file,
+                file_fnv,
+                seconds: run.started.elapsed().as_secs_f64(),
+                retries: run.attempts - 1,
+                source: run.source,
+                resumed: false,
+            })
+        }
+        Err(e) => Err(poisoned(&run.label, &e, run.source, run.attempts)),
+    }
 }
 
 fn poisoned(label: &str, e: &AttemptError, stage: &'static str, attempts: u64) -> PoisonedCell {

@@ -1,5 +1,5 @@
 //! Shared driver code for the figure/table regeneration binaries and the
-//! Criterion benches.
+//! `rvp-grid` sweep.
 //!
 //! Every binary prints the same rows/series as the corresponding figure
 //! or table in the paper. Absolute numbers differ (the substrate is a

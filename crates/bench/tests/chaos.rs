@@ -37,7 +37,6 @@ fn fired_cell_timeout_leaves_no_thread_behind() {
         return; // no /proc: nothing to measure on this platform
     }
 
-    let dir = common::TempDir::new("timeout-leak");
     let mut runner = Runner { traces: None, ..Runner::default() };
     // Minutes of debug-build work against a 1-second timeout; the
     // sampling planner polls the token every few thousand records.
@@ -52,7 +51,7 @@ fn fired_cell_timeout_leaves_no_thread_behind() {
 
     let started = std::time::Instant::now();
     let opts = CellOptions { retries: 1, timeout_secs: 1 };
-    let poisoned = match run_one_cell(&runner, &cell, opts, dir.path()) {
+    let poisoned = match run_one_cell(&runner, &cell, opts) {
         Ok(_) => panic!("a 1s timeout must poison this cell"),
         Err(poisoned) => poisoned,
     };

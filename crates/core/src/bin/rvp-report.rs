@@ -26,8 +26,7 @@
 //!    quarantined trace files, resumed cells and any injected
 //!    failpoint hits from a chaos run,
 //! 7. a serving section for any `rvp-serve` metrics snapshot in the
-//!    directory (a `/metrics` download, or the `server_metrics` object
-//!    embedded in `BENCH_serve.json`): request/error/job counters,
+//!    directory (a `/metrics` download): request/error/job counters,
 //!    cache hit rate, queue high-water mark and the latency histogram
 //!    quantiles. A directory holding only serve metrics (the CI
 //!    artifact case) renders without any cell files,
@@ -181,9 +180,8 @@ fn print_spans(dir: &Path) -> usize {
 }
 
 /// Renders the daemon-side counters from any `rvp-serve` metrics
-/// snapshot in `dir`: either a raw `/metrics` download or a
-/// `BENCH_serve.json` with the snapshot embedded as `server_metrics`.
-/// Returns how many snapshots were rendered.
+/// snapshot (a raw `/metrics` download) in `dir`. Returns how many
+/// snapshots were rendered.
 fn print_serve_metrics(dir: &Path) -> usize {
     let Ok(entries) = std::fs::read_dir(dir) else { return 0 };
     let mut paths: Vec<std::path::PathBuf> = entries
@@ -194,18 +192,13 @@ fn print_serve_metrics(dir: &Path) -> usize {
     paths.sort();
     let mut rendered = 0;
     for path in paths {
-        let Some(parsed) = std::fs::read_to_string(&path).ok().and_then(|t| Json::parse(&t).ok())
+        let Some(metrics) = std::fs::read_to_string(&path).ok().and_then(|t| Json::parse(&t).ok())
         else {
             continue;
         };
-        let metrics = if parsed.get("request_latency").is_some() {
-            parsed.clone()
-        } else {
-            match parsed.get("server_metrics") {
-                Some(m) if m.get("request_latency").is_some() => m.clone(),
-                _ => continue,
-            }
-        };
+        if metrics.get("request_latency").is_none() {
+            continue;
+        }
         rendered += 1;
         let count = |key: &str| metrics.get(key).and_then(Json::as_u64).unwrap_or(0);
         println!("\nserving ({})", path.display());

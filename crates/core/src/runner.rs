@@ -496,14 +496,6 @@ impl Runner {
     /// The train-input profile used by every profile-guided scheme,
     /// memoized in [`Runner::profiles`] (and served from the trace cache
     /// when one is configured).
-    ///
-    /// # Errors
-    ///
-    /// Propagates emulator errors from a live profiling run.
-    pub fn train_profile(&self, wl: &Workload) -> Result<Arc<Profile>, SimError> {
-        self.train_profile_for(wl, &self.program_for(wl, Input::Train))
-    }
-
     fn train_profile_for(&self, wl: &Workload, train: &Program) -> Result<Arc<Profile>, SimError> {
         let key = (wl.name(), Input::Train, self.profile_insts, self.workload_scale);
         self.profiles.get_or_collect(key, || {
@@ -720,7 +712,15 @@ impl Runner {
 
         let plan_dir = self.traces.as_ref().map(|s| s.dir().join("plans"));
         let plan = self.samples.plan(key, plan_dir.as_deref(), || {
-            build_plan(name, program, self.measure_insts, interval, warmup, spec, self.cancel.as_ref())
+            build_plan(
+                name,
+                program,
+                self.measure_insts,
+                interval,
+                warmup,
+                spec,
+                self.cancel.as_ref(),
+            )
         })?;
         let windows = self
             .samples
@@ -1006,6 +1006,15 @@ mod tests {
         let from_disk = warm.run(&wl, scheme).unwrap();
         assert_eq!(want.stats, from_disk.stats);
         assert!(store.counters().hits() >= 2);
+
+        // Profiling the stored train trace reproduces the emulated
+        // profile exactly.
+        let train = warm.program_for(&wl, Input::Train);
+        let cfg = ProfileConfig { max_insts: warm.profile_insts, min_execs: 32 };
+        let meta = TraceMeta::for_program(wl.name(), TraceInput::Train, cfg.max_insts, &train);
+        let emulated = Profile::collect(&train, &cfg).unwrap();
+        let replayed = Profile::collect_stream(&train, &cfg, store.open(&meta).unwrap()).unwrap();
+        assert!(emulated == replayed, "replayed train profile differs from the emulated one");
 
         let _ = std::fs::remove_dir_all(&dir);
     }

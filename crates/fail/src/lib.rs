@@ -148,8 +148,9 @@ fn stats() -> &'static Mutex<HashMap<String, SiteStats>> {
     STATS.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// FNV-1a over `bytes` (the same hash the trace format uses, local so
-/// this crate stays dependency-free).
+/// 64-bit FNV-1a over `bytes`: the one copy in the workspace (the trace
+/// format, journals and content addresses all use it), kept here
+/// because this crate has no dependencies.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {

@@ -6,8 +6,8 @@
 //! cancel flag plus an optional absolute deadline. Polling is designed
 //! for hot loops: a disarmed token costs one relaxed load
 //! ([`CancelToken::is_cancelled`]), and the cycle loop only consults the
-//! deadline clock every `2^k` iterations (see `rvp-uarch`), so the
-//! `core_cycles` benchmark gate is unaffected.
+//! deadline clock every `2^k` iterations (see `rvp-uarch`), so polling
+//! costs the cycle loop almost nothing.
 //!
 //! Cancellation is *cooperative*: nothing is killed. The worker observes
 //! the token at a safe point, unwinds through ordinary `Result`

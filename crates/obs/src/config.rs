@@ -4,8 +4,8 @@
 /// stats and CPI stack.
 ///
 /// The default is fully off: no sampler, no per-PC table, no per-cycle
-/// work beyond the O(1) cycle-accounting ladder. The bench path relies
-/// on this — see `benches/obs_overhead.rs`.
+/// work beyond the O(1) cycle-accounting ladder. The grid and the daemon
+/// run this default, so `rvp-perf` measures it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObsConfig {
     /// Cycles per time-series window; `0` disables sampling.

@@ -15,8 +15,7 @@
 //! relaxed atomic load and returns an empty guard — no allocation, no
 //! clock read, no lock (the disarmed-overhead gate in
 //! `tests/span_disarmed_gate.rs` proves the no-allocation part with a
-//! counting allocator, and the `obs_overhead` bench gates the wall
-//! clock). When armed, completed spans collect in a per-thread buffer
+//! counting allocator). When armed, completed spans collect in a per-thread buffer
 //! and are drained into a bounded global ring in chunks — at top-level
 //! span completion or every [`FLUSH_CHUNK`] spans — so the global lock
 //! is amortized, not per-span. A full ring drops new spans and counts

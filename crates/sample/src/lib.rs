@@ -27,11 +27,10 @@
 //!    sums exactly to its cycle count.
 //!
 //! The [`plan::SamplePlan`] produced by stages 1–2 is a pure function
-//! of (committed stream, sampling parameters); it serializes to JSON and
-//! carries a content fingerprint so callers can cache it next to the
-//! trace it describes. Everything here is deterministic: same stream +
-//! same [`plan::SampleSpec`] → bit-identical plan, windows and
-//! reconstruction.
+//! of (committed stream, sampling parameters); it serializes to canonical
+//! JSON so callers can cache it next to the trace it describes.
+//! Everything here is deterministic: same stream + same
+//! [`plan::SampleSpec`] → bit-identical plan, windows and reconstruction.
 
 pub mod bbv;
 pub mod combine;
@@ -44,13 +43,3 @@ pub use combine::combine_weighted;
 pub use kmeans::{choose_k, kmeans, Kmeans};
 pub use plan::{RepInterval, SamplePlan, SampleSpec};
 pub use windows::{extract_windows, SampleWindow};
-
-/// 64-bit FNV-1a (the same digest the trace container uses), local so
-/// this crate stays free of I/O dependencies.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}

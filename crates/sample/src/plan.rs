@@ -5,9 +5,8 @@
 //! [`SampleSpec`]): the BBV profile is clustered, the interval closest
 //! to each cluster centroid becomes that phase's representative, and
 //! the phase's instruction share becomes the representative's weight.
-//! Plans serialize to JSON and carry an FNV content fingerprint, so
-//! callers can cache them next to the trace they describe and fold them
-//! into grid/manifest config fingerprints.
+//! Plans serialize to canonical JSON, so callers can cache them next to
+//! the trace they describe.
 
 use rvp_json::{Json, ToJson};
 
@@ -233,11 +232,6 @@ impl SamplePlan {
         self.intervals.iter().map(|r| r.len + self.warmup_insts.min(r.start)).sum()
     }
 
-    /// Content fingerprint over the canonical JSON form.
-    pub fn fingerprint(&self) -> u64 {
-        crate::fnv1a(self.to_json().to_string().as_bytes())
-    }
-
     /// Parses [`SamplePlan::to_json`] back.
     ///
     /// # Errors
@@ -349,11 +343,10 @@ mod tests {
         let a = SamplePlan::build(&profile, &spec, 150);
         let b = SamplePlan::build(&profile, &spec, 150);
         assert_eq!(a, b);
-        assert_eq!(a.fingerprint(), b.fingerprint());
         let other = SamplePlan::build(&profile, &SampleSpec { seed: 1, ..spec }, 150);
-        // A different seed permutes clusters at worst; the fingerprint
-        // must still see the config difference via the seed field.
-        assert_ne!(a.fingerprint(), other.fingerprint());
+        // A different seed permutes clusters at worst; the canonical
+        // JSON must still see the config difference via the seed field.
+        assert_ne!(a.to_json().to_string(), other.to_json().to_string());
     }
 
     #[test]
@@ -363,7 +356,7 @@ mod tests {
         let text = plan.to_json().to_string();
         let back = SamplePlan::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(plan, back);
-        assert_eq!(plan.fingerprint(), back.fingerprint());
+        assert_eq!(text, back.to_json().to_string());
     }
 
     #[test]

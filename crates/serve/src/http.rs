@@ -4,8 +4,7 @@
 //! TLS, no chunked bodies, no multipart).
 //!
 //! Both sides live here: the server-side reader/writer used by the
-//! daemon, and a tiny one-shot client used by `rvp-serve-bench` and the
-//! integration tests.
+//! daemon, and a tiny one-shot client used by the integration tests.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -244,7 +243,7 @@ pub fn reason(status: u16) -> &'static str {
 }
 
 // ---------------------------------------------------------------------
-// One-shot client (bench + tests).
+// One-shot client (tests).
 
 /// A parsed client-side response.
 #[derive(Debug)]

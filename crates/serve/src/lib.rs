@@ -18,9 +18,8 @@
 //!   JSON in the affected response, never as a dead daemon
 //!   ([`server`]).
 //!
-//! The load-test harness (`rvp-serve-bench`) drives the daemon with
-//! concurrent clients and gates latency/throughput in
-//! `BENCH_serve.json`.
+//! `rvp-perf` (its own package at the repository root) measures the
+//! daemon under load from outside.
 
 pub mod cache;
 pub mod http;

@@ -307,7 +307,6 @@ struct Sched {
 struct Inner {
     cfg: ServeConfig,
     base: Runner,
-    cells_dir: PathBuf,
     cache: ResultCache,
     journal: JobJournal,
     metrics: Arc<ServeMetrics>,
@@ -383,10 +382,10 @@ impl ServerHandle {
         }
     }
 
-    /// Graceful-enough stop for tests and benches: stop accepting,
-    /// wake the workers, join them. In-flight handler threads finish
-    /// their current response on their own; queued-but-unstarted cells
-    /// stay journaled and resume on the next start.
+    /// Graceful-enough stop for tests: stop accepting, wake the
+    /// workers, join them. In-flight handler threads finish their
+    /// current response on their own; queued-but-unstarted cells stay
+    /// journaled and resume on the next start.
     pub fn shutdown(self) {
         self.inner.stop.store(true, Ordering::SeqCst);
         // Unblock the accept loop with a throwaway connection.
@@ -422,8 +421,6 @@ impl ServerHandle {
 /// listener, and spawns the accept thread and the worker pool.
 pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
     std::fs::create_dir_all(&cfg.state_dir)?;
-    let cells_dir = cfg.state_dir.join("cells");
-    std::fs::create_dir_all(&cells_dir)?;
     let cache = ResultCache::open_with_budget(&cfg.state_dir, cfg.cache_budget_bytes)?;
     let (journal, pending) = JobJournal::open(&cfg.state_dir)?;
 
@@ -445,14 +442,13 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
     let addr = listener.local_addr()?;
 
     // The daemon always traces: the ring is bounded (drop-newest), the
-    // overhead is covered by the obs_overhead gate, and `GET /trace`
-    // is only useful when there is something in it.
+    // overhead is part of every `rvp-perf` serve measurement, and
+    // `GET /trace` is only useful when there is something in it.
     span::arm(span::DEFAULT_RING_CAPACITY);
 
     let inner = Arc::new(Inner {
         cfg,
         base,
-        cells_dir,
         cache,
         journal,
         metrics: Arc::new(ServeMetrics::new()),
@@ -682,8 +678,7 @@ fn route(inner: &Arc<Inner>, request: &Request, stream: &TcpStream) -> Routed {
             let _ = std::thread::Builder::new()
                 .name("serve-drain".to_owned())
                 .spawn(move || drain(&drainer));
-            let body =
-                Json::obj([("draining", true.into()), ("window_secs", window.into())]);
+            let body = Json::obj([("draining", true.into()), ("window_secs", window.into())]);
             (202, Vec::new(), Body::Json(body))
         }
         ("GET", "/metrics") => {
@@ -810,7 +805,8 @@ fn sweep_endpoint(inner: &Arc<Inner>, request: &Request, stream: &TcpStream) -> 
             return (429, vec![("Retry-After", retry.to_string())], Body::Json(body));
         }
         Err(SubmitError::Draining) => {
-            let body = Json::obj([("error", "draining; retry against the restarted daemon".into())]);
+            let body =
+                Json::obj([("error", "draining; retry against the restarted daemon".into())]);
             return (503, vec![("Retry-After", "5".to_owned())], Body::Json(body));
         }
         Err(SubmitError::Cache(e)) => {
@@ -1115,19 +1111,15 @@ fn worker_loop(inner: &Arc<Inner>) {
 fn execute(inner: &Arc<Inner>, task: &CellTask) -> (CellOutcome, bool) {
     let opts = CellOptions { retries: inner.cfg.retries, timeout_secs: 0 };
     let started = Instant::now();
-    match run_one_cell(&task.runner, &task.cell, opts, &inner.cells_dir) {
-        Ok(success) => {
+    match run_one_cell(&task.runner, &task.cell, opts) {
+        Ok(run) => {
             let seconds = started.elapsed().as_secs_f64();
             let mut costs = inner.costs.lock().unwrap();
             let est = costs.entry(task.cell.label()).or_insert(seconds);
             *est = 0.5 * *est + 0.5 * seconds;
             drop(costs);
             inner.metrics.cells_computed.fetch_add(1, Ordering::Relaxed);
-            let text = match success.result {
-                Some(result) => format!("{}\n", result.to_json()),
-                // Unreachable for freshly-run cells, but stay graceful.
-                None => "{}\n".to_owned(),
-            };
+            let text = format!("{}\n", run.result.to_json());
             if let Err(e) = inner.cache.put(task.fingerprint, &text) {
                 log::warn(
                     "rvp-serve",

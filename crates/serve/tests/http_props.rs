@@ -38,12 +38,8 @@ fn wire_bytes() -> impl Strategy<Value = Vec<u8>> {
 /// Structured near-miss requests: a valid shape with one knob bent
 /// (method casing, huge Content-Length, missing CRLF, stray NULs).
 fn near_http() -> impl Strategy<Value = Vec<u8>> {
-    (
-        proptest::collection::vec(any::<u8>(), 0..64),
-        any::<u32>(),
-        any::<u8>(),
-    )
-        .prop_map(|(body, clen, variant)| {
+    (proptest::collection::vec(any::<u8>(), 0..64), any::<u32>(), any::<u8>()).prop_map(
+        |(body, clen, variant)| {
             let clen = match variant % 5 {
                 0 => body.len() as u64,
                 1 => u64::from(clen),
@@ -52,16 +48,16 @@ fn near_http() -> impl Strategy<Value = Vec<u8>> {
                 _ => 0,
             };
             let sep = if variant & 0x20 != 0 { "\r\n" } else { "\n" };
-            let mut req = format!(
-                "POST /sweep HTTP/1.1{sep}Host: x{sep}Content-Length: {clen}{sep}{sep}"
-            )
-            .into_bytes();
+            let mut req =
+                format!("POST /sweep HTTP/1.1{sep}Host: x{sep}Content-Length: {clen}{sep}{sep}")
+                    .into_bytes();
             if variant & 0x40 != 0 {
                 req.insert(0, 0); // leading NUL: not a token char
             }
             req.extend_from_slice(&body);
             req
-        })
+        },
+    )
 }
 
 /// Every parse of arbitrary bytes must land in the structured error
@@ -76,7 +72,8 @@ fn assert_contained(bytes: &[u8]) {
             assert!(req.method.len() + req.path.len() + req.query.len() <= MAX_HEAD_BYTES);
         }
         Ok(None) => {} // clean EOF between requests
-        Err(HttpError::Malformed(why)) | Err(HttpError::TooLarge(why))
+        Err(HttpError::Malformed(why))
+        | Err(HttpError::TooLarge(why))
         | Err(HttpError::Timeout(why)) => {
             assert!(!why.is_empty(), "structured errors must carry a reason");
         }
@@ -100,7 +97,7 @@ proptest! {
     #[test]
     fn oversized_heads_are_rejected_as_too_large(pad in 0usize..4096) {
         let mut req = b"GET /".to_vec();
-        req.extend(std::iter::repeat(b'a').take(MAX_HEAD_BYTES + pad));
+        req.extend(std::iter::repeat_n(b'a', MAX_HEAD_BYTES + pad));
         req.extend_from_slice(b" HTTP/1.1\r\n\r\n");
         let mut cursor = Cursor::new(&req[..]);
         prop_assert!(matches!(

@@ -37,6 +37,8 @@ fn sweep_computes_then_repeat_is_all_cache_hits() {
         let result = cell.get("result").expect("cell result");
         assert!(result.get("stats").is_some(), "cell carries full RunResult JSON");
     }
+    // The content-addressed cache is the only copy of a computed cell.
+    assert!(!dir.path().join("cells").exists(), "the daemon writes no label-keyed cell files");
 
     // Warm: the identical sweep is answered entirely from the cache.
     let warm = request(daemon.addr, "POST", "/sweep", Some(&sweep_body(true)));
@@ -173,6 +175,10 @@ fn sigkill_mid_sweep_then_restart_resumes_bit_identical() {
     // Restart: the journal re-submits the job under its original id;
     // finished cells come from the cache, the rest re-simulate.
     let revived = Daemon::spawn(dir.path(), &["--workers", "1"], &[]);
+    // Job ids are known once the journal replay lands; `/readyz` says so.
+    wait_for("journal replay", Duration::from_secs(30), || {
+        request(revived.addr, "GET", "/readyz", None).status == 200
+    });
     wait_for("resumed job to finish", Duration::from_secs(240), || {
         let response = request(revived.addr, "GET", &format!("/jobs/{job_id}"), None);
         assert_ne!(response.status, 404, "resumed daemon must remember job {job_id}");

@@ -97,7 +97,10 @@ impl TraceStore {
     /// Creates a store with a disk budget in bytes (`0` = unlimited).
     /// Beyond it, the least-recently-used traces and sampling plans are
     /// evicted after each capture; eviction only costs a re-capture.
-    pub fn with_budget(dir: impl Into<PathBuf>, budget_bytes: u64) -> Result<TraceStore, TraceError> {
+    pub fn with_budget(
+        dir: impl Into<PathBuf>,
+        budget_bytes: u64,
+    ) -> Result<TraceStore, TraceError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         let store = TraceStore { dir, counters: Arc::new(StoreCounters::default()), budget_bytes };
@@ -318,7 +321,7 @@ impl TraceStore {
         let mut scan = |dir: &Path, ext: &str| {
             let Ok(entries) = std::fs::read_dir(dir) else { return };
             for path in entries.filter_map(Result::ok).map(|e| e.path()) {
-                if !path.extension().is_some_and(|x| x == ext) {
+                if path.extension().is_none_or(|x| x != ext) {
                     continue;
                 }
                 let Ok(meta) = std::fs::metadata(&path) else { continue };

@@ -48,14 +48,9 @@ pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// 64-bit FNV-1a over `bytes`.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// 64-bit FNV-1a over `bytes`: the workspace's one copy, which lives in
+/// the dependency-free `rvp-fail`.
+pub use rvp_fail::fnv1a;
 
 #[cfg(test)]
 mod tests {
