@@ -19,10 +19,15 @@ use rvp_core::Json;
 /// unique by `threshold` — 500 distinct thresholds are 500 distinct
 /// cells in the result cache.
 fn one_cell(threshold: f64, wait: bool) -> Json {
+    sized_cell(threshold, 4_000, wait)
+}
+
+/// [`one_cell`] with its measurement budget, and so its cost, chosen.
+fn sized_cell(threshold: f64, measure_insts: u64, wait: bool) -> Json {
     Json::obj([
         ("workloads", Json::arr([Json::from("li")])),
         ("schemes", Json::arr([Json::from("no_predict")])),
-        ("measure_insts", 4_000u64.into()),
+        ("measure_insts", measure_insts.into()),
         ("profile_insts", 4_000u64.into()),
         ("threshold", threshold.into()),
         ("wait", wait.into()),
@@ -207,11 +212,17 @@ fn sigterm_drain_exits_zero_and_loses_none_of_500_admitted_jobs() {
     });
 
     // Admit 500 unique one-cell jobs (unique threshold ⇒ unique content
-    // address); the two workers chew concurrently while we submit.
+    // address); the two workers chew concurrently while we submit. Each
+    // admission and each completion costs one journal fsync, so on a
+    // disk with slow fsync cheap cells finish as fast as they are
+    // admitted; the cells must cost clearly more than a journal append
+    // for SIGTERM to find work in flight.
     const JOBS: usize = 500;
+    const MEASURE_INSTS: u64 = 20_000;
+    let cell = |t: f64, wait: bool| sized_cell(t, MEASURE_INSTS, wait);
     let thresholds: Vec<f64> = (0..JOBS).map(|i| 0.5 + i as f64 * 1e-4).collect();
     for &t in &thresholds {
-        let r = request(daemon.addr, "POST", "/sweep", Some(&one_cell(t, false)));
+        let r = request(daemon.addr, "POST", "/sweep", Some(&cell(t, false)));
         assert_eq!(r.status, 202, "admission failed: {:?}", String::from_utf8_lossy(&r.body));
         r.json().expect("json").get("job").and_then(Json::as_u64).expect("job id");
     }
@@ -226,7 +237,7 @@ fn sigterm_drain_exits_zero_and_loses_none_of_500_admitted_jobs() {
             daemon.addr,
             "POST",
             "/sweep",
-            Some(&one_cell(thresholds[0], false)),
+            Some(&cell(thresholds[0], false)),
             Duration::from_secs(5),
         ) else {
             break; // daemon already exited
@@ -273,7 +284,7 @@ fn sigterm_drain_exits_zero_and_loses_none_of_500_admitted_jobs() {
     // Re-sweeping the whole load is now pure cache hits — nothing lost,
     // nothing recomputed.
     for &t in thresholds.iter().take(5) {
-        let warm = request(revived.addr, "POST", "/sweep", Some(&one_cell(t, true)));
+        let warm = request(revived.addr, "POST", "/sweep", Some(&cell(t, true)));
         let warm = warm.json().expect("warm json");
         assert_eq!(warm.get("cached").and_then(Json::as_u64), Some(1), "threshold {t}");
     }
