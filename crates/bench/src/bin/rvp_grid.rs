@@ -30,7 +30,9 @@
 //! simulation (`auto`, or `interval=N,warmup=N,dims=N,max_k=N,seed=N`)
 //! and `--scale N` multiplies every workload's outer pass counts —
 //! together they make paper-scale sweeps (100M+ committed instructions
-//! per cell) tractable. Sampled cells land in
+//! per cell) tractable. A sampled sweep prewarms each workload's
+//! sampling plan, windows and train profile instead of its trace, on
+//! any source, and reads no full trace. Sampled cells land in
 //! `<workload>-<scheme>.sampled.json` files and the manifest
 //! fingerprint covers both knobs, so sampled and detailed sweeps never
 //! resume into each other.
@@ -396,27 +398,53 @@ fn main() -> ExitCode {
 
     let start = Instant::now();
 
-    // Pay every workload's trace capture up front, in parallel, so the
-    // cell fan-out below is pure timing simulation (a no-op for the
-    // live source, and skipped for workloads fully restored from the
-    // manifest). A failed prewarm is not fatal: the cell itself will
-    // retry or fall back and report properly.
+    // Pay every workload's trace capture — or, when sampling, its
+    // sampling plan, windows and train profile — up front, in parallel,
+    // so the cell fan-out below is pure timing simulation and no cell
+    // waits on a peer (a no-op for a detailed sweep on the live source,
+    // and skipped for workloads fully restored from the manifest). A
+    // failed prewarm is not fatal: the cell itself will retry or fall
+    // back and report properly.
     let pending: Vec<&Workload> = workloads
         .iter()
         .filter(|wl| cells.iter().any(|c| c.workload.name() == wl.name()))
         .collect();
-    if runner.source_mode != SourceMode::Live && !pending.is_empty() {
-        let next_wl = AtomicUsize::new(0);
+    let prewarm = match (&runner.sampling, runner.source_mode) {
+        _ if pending.is_empty() => None,
+        (Some(_), _) => Some("sampling plans"),
+        (None, SourceMode::Live) => None,
+        (None, _) => Some("traces"),
+    };
+    if let Some(what) = prewarm {
+        // A sampled cell's own work is short next to its workload's
+        // train profile, so its peers would otherwise queue on the one
+        // collecting it: a sampled sweep prewarms the profiles its cells
+        // need too. They are the shorter tasks, so they go last, to even
+        // out when the threads finish.
+        let profiles = pending.iter().filter(|wl| {
+            runner.sampling.is_some()
+                && cells.iter().any(|c| c.workload.name() == wl.name() && c.scheme.needs_profile())
+        });
+        let tasks: Vec<(&Workload, &str)> = pending
+            .iter()
+            .map(|wl| (*wl, "stream"))
+            .chain(profiles.map(|wl| (*wl, "profile")))
+            .collect();
+        let next_task = AtomicUsize::new(0);
         std::thread::scope(|scope| {
-            for _ in 0..workers.min(pending.len()) {
+            for _ in 0..workers.min(tasks.len()) {
                 scope.spawn(|| loop {
-                    let i = next_wl.fetch_add(1, Ordering::Relaxed);
-                    let Some(wl) = pending.get(i) else { return };
-                    let _span = rvp_core::span!("grid.prewarm", { workload: wl.name() });
-                    if let Err(e) = runner.prewarm_trace(wl) {
+                    let i = next_task.fetch_add(1, Ordering::Relaxed);
+                    let Some(&(wl, kind)) = tasks.get(i) else { return };
+                    let _span = rvp_core::span!("grid.prewarm", { workload: wl.name(), kind });
+                    let prewarmed = match kind {
+                        "profile" => runner.prewarm_profile(wl),
+                        _ => runner.prewarm_trace(wl),
+                    };
+                    if let Err(e) = prewarmed {
                         log::warn(
                             "rvp-grid",
-                            "trace prewarm failed",
+                            "prewarm failed",
                             &[("workload", wl.name().into()), ("error", e.to_string().into())],
                         );
                     }
@@ -424,7 +452,7 @@ fn main() -> ExitCode {
             }
         });
         println!(
-            "traces prewarmed: {} workloads in {:.2}s",
+            "{what} prewarmed: {} workloads in {:.2}s",
             pending.len(),
             start.elapsed().as_secs_f64()
         );

@@ -1,3 +1,4 @@
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -7,9 +8,9 @@ use rvp_emu::Committed;
 use rvp_isa::Program;
 use rvp_json::{Json, ToJson};
 use rvp_obs::log;
-use rvp_profile::{Fig1Row, PlanScope, Profile, ProfileConfig};
+use rvp_profile::{Fig1Row, PlanScope, PredictionPlan, Profile, ProfileConfig};
 use rvp_realloc::{reallocate, ReallocOptions};
-use rvp_sample::{combine_weighted, SamplePlan, SampleSpec};
+use rvp_sample::{combine_weighted, SamplePlan, SampleSpec, SampleWindow};
 use rvp_trace::{TraceInput, TraceMeta, TraceStore};
 use rvp_uarch::TraceColumns;
 use rvp_uarch::{
@@ -535,6 +536,16 @@ impl Runner {
         Profile::collect(program, &cfg).map_err(SimError::Emu)
     }
 
+    /// The register reallocation `drvp_all_realloc` applies.
+    fn realloc_options(&self) -> ReallocOptions {
+        ReallocOptions {
+            threshold: self.threshold,
+            scope: PlanScope::AllInsts,
+            use_dead: true,
+            use_lv: true,
+        }
+    }
+
     /// Runs one (workload, scheme) cell.
     ///
     /// # Errors
@@ -544,14 +555,18 @@ impl Runner {
     pub fn run(&self, wl: &Workload, scheme: &SchemeSpec) -> Result<RunResult, SimError> {
         self.check_cancel()?;
         let info = scheme.info();
-        let mut program = self.program_for(wl, Input::Ref);
+        // `base` stays the unmarked, unreallocated ref program: sampled
+        // cells key and build their plan on it, whatever `program`
+        // becomes below.
+        let base = self.program_for(wl, Input::Ref);
         let train = self.program_for(wl, Input::Train);
-        if program.len() != train.len() {
+        if base.len() != train.len() {
             return Err(SimError::StructureMismatch {
                 train_len: train.len(),
-                ref_len: program.len(),
+                ref_len: base.len(),
             });
         }
+        let mut program = Cow::Borrowed(&base);
 
         let profile =
             if scheme.needs_profile() { Some(self.train_profile_for(wl, &train)?) } else { None };
@@ -565,14 +580,7 @@ impl Runner {
             PlanSource::Static(level) => {
                 let profile = profile.as_ref().expect("profiled");
                 let plan = profile.static_plan(&train, self.threshold, level);
-                // Mark the loads in the program text (`rvp_` opcodes).
-                program = program.map_insts(|pc, inst| {
-                    if plan.contains(pc) {
-                        inst.clone().with_rvp()
-                    } else {
-                        inst.clone()
-                    }
-                });
+                program = Cow::Owned(mark_rvp_loads(&base, &plan));
                 sim_scheme = sim_scheme.with_plan(plan, PlanMode::Exhaustive);
             }
             PlanSource::Assist(assist) => {
@@ -584,20 +592,15 @@ impl Runner {
                 // Actually transform the program; the hardware then runs
                 // the plain predictor with no oracle plan.
                 let profile = profile.as_ref().expect("profiled");
-                let opts = ReallocOptions {
-                    threshold: self.threshold,
-                    scope: PlanScope::AllInsts,
-                    use_dead: true,
-                    use_lv: true,
-                };
-                program = reallocate(&program, profile, &opts).program;
+                program = Cow::Owned(reallocate(&base, profile, &self.realloc_options()).program);
             }
         }
 
         let reallocated = info.plan == PlanSource::Realloc;
         let (stats, sampling) = match self.sampling {
             Some(spec) => {
-                let (stats, plan) = self.measure_sampled(wl, &program, sim_scheme, &spec)?;
+                let (stats, plan) =
+                    self.measure_sampled(wl, &base, &program, sim_scheme, &spec, reallocated)?;
                 (stats, Some(plan))
             }
             None => (self.measure(wl, &program, sim_scheme, reallocated)?, None),
@@ -680,51 +683,33 @@ impl Runner {
         }
     }
 
-    /// Runs one *sampled* timing simulation: plan (cached in memory and
-    /// content-addressed on disk next to the trace store), extract the
-    /// representative windows (cached in memory across the workload's
-    /// scheme cells), then per window run functional warmup followed by
-    /// a detailed simulation of just that interval, and reconstruct
-    /// whole-run stats by cluster weight.
+    /// Runs one *sampled* timing simulation: plan and extract the
+    /// representative windows ([`Runner::sample_windows`]), then per
+    /// window run functional warmup followed by a detailed simulation of
+    /// just that interval, and reconstruct whole-run stats by cluster
+    /// weight.
     ///
-    /// Register-reallocated programs need no special casing here: both
-    /// streaming passes emulate `program` itself, and the plan key
-    /// hashes the program text, so a transformed program gets its own
-    /// plan and windows.
+    /// `base` is the workload's unmarked ref program and `program` the
+    /// one simulated. Marking and reallocation leave every `pc →
+    /// next_pc` transition as it was, so the plan comes from `base`.
+    /// `rvp_` marking changes no committed record either, so a marked
+    /// program runs over `base`'s windows, as it runs over the base
+    /// trace in [`Runner::measure`]. A register-reallocated program
+    /// renames destinations in its records, so it gets windows cut from
+    /// its own stream under the same plan.
     fn measure_sampled(
         &self,
         wl: &Workload,
+        base: &Program,
         program: &Program,
         sim_scheme: Scheme,
         spec: &SampleSpec,
+        reallocated: bool,
     ) -> Result<(SimStats, Arc<SamplePlan>), SimError> {
         let name = wl.name();
-        let (interval, warmup) = spec.resolve(self.measure_insts);
-        let key = sample_key(
-            name,
-            self.measure_insts,
-            rvp_trace::program_hash(program),
-            interval,
-            warmup,
-            spec,
-        );
         let _span = rvp_obs::span!("runner.measure", { workload: name, source: "sampled" });
-
-        let plan_dir = self.traces.as_ref().map(|s| s.dir().join("plans"));
-        let plan = self.samples.plan(key, plan_dir.as_deref(), || {
-            build_plan(
-                name,
-                program,
-                self.measure_insts,
-                interval,
-                warmup,
-                spec,
-                self.cancel.as_ref(),
-            )
-        })?;
-        let windows = self
-            .samples
-            .windows(key, || extract_plan_windows(&plan, program, self.cancel.as_ref()))?;
+        let stream = if reallocated { program } else { base };
+        let (plan, windows) = self.sample_windows(name, base, stream, spec)?;
 
         let mut parts = Vec::with_capacity(windows.len());
         for w in windows.iter() {
@@ -746,6 +731,34 @@ impl Runner {
             parts.push((w.weight, stats));
         }
         Ok((combine_weighted(plan.total_insts, &parts), plan))
+    }
+
+    /// The sampling plan built from `base` and the windows it cuts from
+    /// `stream`'s committed records, each memoized in
+    /// [`Runner::samples`]: the plan under `base`'s hash (and
+    /// content-addressed on disk next to the trace store), the windows
+    /// under `stream`'s, so every program with the same committed
+    /// stream shares one window set.
+    fn sample_windows(
+        &self,
+        name: &'static str,
+        base: &Program,
+        stream: &Program,
+        spec: &SampleSpec,
+    ) -> Result<(Arc<SamplePlan>, Arc<Vec<SampleWindow>>), SimError> {
+        let budget = self.measure_insts;
+        let (interval, warmup) = spec.resolve(budget);
+        let key = |p: &Program| {
+            sample_key(name, budget, rvp_trace::program_hash(p), interval, warmup, spec)
+        };
+        let cancel = self.cancel.as_ref();
+        let plan_dir = self.traces.as_ref().map(|s| s.dir().join("plans"));
+        let plan = self.samples.plan(key(base), plan_dir.as_deref(), || {
+            build_plan(name, base, budget, interval, warmup, spec, cancel)
+        })?;
+        let windows =
+            self.samples.windows(key(stream), || extract_plan_windows(&plan, stream, cancel))?;
+        Ok((plan, windows))
     }
 
     /// The shared decoded ref trace for `wl`, materialized on first use
@@ -781,16 +794,23 @@ impl Runner {
         Ok(trace)
     }
 
-    /// Materializes the committed trace serving `wl`'s measurement runs
-    /// ahead of time, so a grid can pay all captures up front before
-    /// fanning cells out to threads. A no-op in [`SourceMode::Live`].
+    /// Materializes what serves `wl`'s measurement runs ahead of time,
+    /// so a grid can pay for it up front before fanning cells out to
+    /// threads. Under [`Runner::sampling`] that is the base program's
+    /// plan and windows, on any source: sampled cells never read a full
+    /// trace. Otherwise it is the committed trace, and a no-op in
+    /// [`SourceMode::Live`].
     ///
     /// # Errors
     ///
-    /// Propagates emulator errors from a live capture. (A replay-mode
-    /// store failure is *not* an error: measurement will fall back to
-    /// live emulation.)
+    /// Propagates emulator errors from a live capture or a sampling
+    /// pass. (A replay-mode store failure is *not* an error:
+    /// measurement will fall back to live emulation.)
     pub fn prewarm_trace(&self, wl: &Workload) -> Result<(), SimError> {
+        if let Some(spec) = &self.sampling {
+            let base = self.program_for(wl, Input::Ref);
+            return self.sample_windows(wl.name(), &base, &base, spec).map(drop);
+        }
         match self.source_mode {
             SourceMode::Live => Ok(()),
             SourceMode::Shared => self.shared_ref_trace(wl).map(drop),
@@ -819,6 +839,17 @@ impl Runner {
                 Ok(())
             }
         }
+    }
+
+    /// Collects `wl`'s train profile ahead of time, so that cells of
+    /// the workload that need it never wait while a peer collects it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates emulator errors from the profiling run.
+    pub fn prewarm_profile(&self, wl: &Workload) -> Result<(), SimError> {
+        let train = self.program_for(wl, Input::Train);
+        self.train_profile_for(wl, &train).map(drop)
     }
 
     /// Figure 1 measurement: register-value reuse of loads on the ref
@@ -874,6 +905,19 @@ pub fn grid_config_fnv(workloads: &[Workload], schemes: &[SchemeSpec], runner: &
         key.push_str(&format!("|scale={}", runner.workload_scale));
     }
     rvp_trace::fnv1a(key.as_bytes())
+}
+
+/// `program` with the loads of a static plan marked in its text
+/// (`rvp_` opcodes).
+fn mark_rvp_loads(program: &Program, plan: &PredictionPlan) -> Program {
+    program.map_insts(|pc, inst| {
+        let inst = inst.clone();
+        if plan.contains(pc) {
+            inst.with_rvp()
+        } else {
+            inst
+        }
+    })
 }
 
 fn trace_input(input: Input) -> TraceInput {
@@ -1096,6 +1140,46 @@ mod tests {
         }
     }
 
+    /// The invariant behind planning once per workload: neither `rvp_`
+    /// marking nor register reallocation changes a `pc → next_pc`
+    /// transition, so both build the base program's plan, and marking
+    /// changes no committed record, so it cuts the base windows.
+    #[test]
+    fn marked_and_reallocated_programs_sample_like_the_base_program() {
+        let r = quick_runner();
+        let sample = SampleSpec { interval_insts: 20_000, ..SampleSpec::default() };
+        let (interval, warmup) = sample.resolve(r.measure_insts);
+        let PlanSource::Static(level) = spec("srvp_live").info().plan else {
+            panic!("srvp_live marks loads statically");
+        };
+        let plan_of = |name, program: &Program| {
+            build_plan(name, program, r.measure_insts, interval, warmup, &sample, None).unwrap()
+        };
+        let records = |w: &SampleWindow| w.detail.records().collect::<Vec<_>>();
+        for wl in rvp_workloads::all() {
+            let name = wl.name();
+            let base = r.program_for(&wl, Input::Ref);
+            let train = r.program_for(&wl, Input::Train);
+            let profile = r.train_profile_for(&wl, &train).unwrap();
+            let marked = mark_rvp_loads(&base, &profile.static_plan(&train, r.threshold, level));
+            let reallocated = reallocate(&base, &profile, &r.realloc_options()).program;
+
+            let plan = plan_of(name, &base);
+            assert_eq!(plan_of(name, &marked), plan, "{name}: marked plan differs");
+            assert_eq!(plan_of(name, &reallocated), plan, "{name}: reallocated plan differs");
+
+            let want = extract_plan_windows(&plan, &base, None).unwrap();
+            let got = extract_plan_windows(&plan, &marked, None).unwrap();
+            assert_eq!(got.len(), want.len(), "{name}");
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!((g.index, g.start, g.cluster), (w.index, w.start, w.cluster), "{name}");
+                assert_eq!(g.weight.to_bits(), w.weight.to_bits(), "{name}");
+                assert_eq!(g.warmup, w.warmup, "{name}: warmup records differ");
+                assert_eq!(records(g), records(w), "{name}: detail records differ");
+            }
+        }
+    }
+
     /// Sampled cells reconstruct a CPI stack that still sums to the
     /// cycle count, and the plan/window memos are shared across scheme
     /// cells of a workload.
@@ -1123,10 +1207,13 @@ mod tests {
                 + s.cpi.fetch_stall;
             assert_eq!(s.cycles, stack, "combined CPI stack must sum to cycles");
         }
-        // The reallocated variant transforms the program, so it gets
-        // its own plan under a distinct content key.
+        // Marking and reallocation keep the base plan. Marking keeps the
+        // committed stream too; reallocation renames destinations, so
+        // its cell cuts its own windows.
+        r.run(&wl, &spec("srvp_live")).unwrap();
         r.run(&wl, &spec("drvp_all_realloc")).unwrap();
-        assert_eq!(r.samples.plans_len(), 2);
+        assert_eq!(r.samples.plans_len(), 1);
+        assert_eq!(r.samples.windows_len(), 2);
     }
 
     /// The sampling plan is persisted content-addressed next to the

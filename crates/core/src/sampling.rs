@@ -2,10 +2,15 @@
 //!
 //! The [`rvp_sample`] crate owns the methodology (BBV profiling,
 //! clustering, window extraction, weighted reconstruction); this module
-//! owns the *caching*: a sampling plan is a pure function of
-//! (program, budget, [`SampleSpec`]), so it is memoized in memory across
-//! the scheme cells of a grid — every cell of a workload column shares
-//! one plan and one set of extracted windows — and persisted
+//! owns the *caching*. A sampling plan is a pure function of the
+//! workload's control flow, and neither `rvp_` load marking nor
+//! register reallocation changes a single `pc → next_pc` transition,
+//! so the plan is keyed on (and built from) the *base* ref program:
+//! every scheme cell of a workload column shares one plan. The
+//! extracted windows are keyed on the program whose committed records
+//! they carry — the base program for every scheme but a register
+//! reallocation that renamed a destination — so marked programs share
+//! the base windows too. Plans are memoized in memory and persisted
 //! content-addressed next to the trace store, so re-running a sweep
 //! skips the profiling pass entirely.
 
@@ -21,10 +26,11 @@ use rvp_obs::log;
 use rvp_sample::{extract_windows, BbvConfig, BbvProfiler, SamplePlan, SampleSpec, SampleWindow};
 use rvp_uarch::SimError;
 
-/// Content key for a sampling plan (and the windows extracted under
-/// it): everything the plan is a function of, hashed. The program hash
-/// covers the workload, input, scale factor *and* any register
-/// reallocation; the resolved interval/warmup cover the auto knobs.
+/// Content key for a sampling plan, or for the windows cut from one
+/// program's committed stream: everything either is a function of,
+/// hashed. The program hash covers the workload, input and scale factor
+/// — and, in a window key, any register reallocation; the resolved
+/// interval/warmup cover the auto knobs.
 pub(crate) fn sample_key(
     workload: &str,
     budget: u64,
@@ -89,8 +95,8 @@ impl SamplingCaches {
 
     /// The extracted windows for `key`, memoized like [`Self::plan`].
     /// Windows are a few MB of committed records — worth sharing across
-    /// a workload's scheme cells, not worth persisting (re-extraction is
-    /// one streaming emulation pass).
+    /// every scheme cell whose committed stream they carry, not worth
+    /// persisting (re-extraction is one streaming emulation pass).
     pub(crate) fn windows(
         &self,
         key: u64,
@@ -162,16 +168,18 @@ fn store_plan(path: &Path, plan: &SamplePlan) {
     }
 }
 
-/// One full pipeline run up to the plan: stream the committed
-/// instructions through the BBV profiler ([`sample.profile`] span),
-/// then cluster ([`sample.cluster`] span inside
-/// [`SamplePlan::build`]).
 /// Cancel polls in the streaming emulation passes happen every
 /// `CANCEL_CHECK_MASK + 1` committed records — the same amortization
 /// idea as the cycle loop's, so a sampled cell squashes within
 /// milliseconds of its token firing even while profiling.
 const CANCEL_CHECK_MASK: u64 = 0x1FFF;
 
+/// One full pipeline run up to the plan: stream the committed
+/// instructions through the BBV profiler ([`sample.profile`] span),
+/// then cluster ([`sample.cluster`] span inside
+/// [`SamplePlan::build`]). The profiler reads only `pc` and `next_pc`,
+/// so `program` may be the base program of any marked or reallocated
+/// variant.
 pub(crate) fn build_plan(
     workload: &'static str,
     program: &Program,

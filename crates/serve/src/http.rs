@@ -174,11 +174,13 @@ fn read_head_line<R: BufRead>(
     Ok(n)
 }
 
-/// Writes a JSON response. The body is streamed into the buffered
-/// socket writer via [`Json::to_writer`] after a buffered length pass,
-/// so large result payloads never materialize as one `String`.
-pub fn write_json_response(
-    stream: &mut TcpStream,
+/// Writes a JSON response: head and body assembled in one buffer and
+/// handed to `stream` in a single `write_all`. A response that left in
+/// two writes would have its short tail held by Nagle until the client
+/// acknowledged the first segment — a ~40 ms delayed-ACK stall on a
+/// keep-alive connection.
+pub fn write_json_response<W: Write>(
+    stream: &mut W,
     status: u16,
     extra_headers: &[(&str, String)],
     body: &Json,
@@ -186,30 +188,29 @@ pub fn write_json_response(
     let mut payload = Vec::with_capacity(256);
     body.to_writer(&mut payload)?;
     payload.push(b'\n');
-    let mut out = io::BufWriter::new(stream);
-    write!(
-        out,
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
-        reason(status),
-        payload.len(),
-    )?;
-    for (name, value) in extra_headers {
-        write!(out, "{name}: {value}\r\n")?;
-    }
-    out.write_all(b"\r\n")?;
-    out.write_all(&payload)?;
-    out.flush()
+    write_response(stream, status, "application/json", extra_headers, &payload)
 }
 
-/// Writes a plain-text response (Prometheus exposition, folded stacks).
-pub fn write_text_response(
-    stream: &mut TcpStream,
+/// Writes a plain-text response (Prometheus exposition, folded stacks)
+/// in one `write_all`, like [`write_json_response`].
+pub fn write_text_response<W: Write>(
+    stream: &mut W,
     status: u16,
     content_type: &str,
     extra_headers: &[(&str, String)],
     body: &str,
 ) -> io::Result<()> {
-    let mut out = io::BufWriter::new(stream);
+    write_response(stream, status, content_type, extra_headers, body.as_bytes())
+}
+
+fn write_response<W: Write>(
+    stream: &mut W,
+    status: u16,
+    content_type: &str,
+    extra_headers: &[(&str, String)],
+    body: &[u8],
+) -> io::Result<()> {
+    let mut out = Vec::with_capacity(128 + body.len());
     write!(
         out,
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n",
@@ -219,9 +220,10 @@ pub fn write_text_response(
     for (name, value) in extra_headers {
         write!(out, "{name}: {value}\r\n")?;
     }
-    out.write_all(b"\r\n")?;
-    out.write_all(body.as_bytes())?;
-    out.flush()
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(body);
+    stream.write_all(&out)?;
+    stream.flush()
 }
 
 /// Canonical reason phrase for the handful of statuses the daemon uses.
@@ -341,4 +343,51 @@ pub fn request(
         }
     };
     Ok(ClientResponse { status, headers, body })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A writer that accepts every buffer whole and counts the calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn large_responses_leave_in_one_write() {
+        // About 20 KB: a whole column of cells, well past 8 KB.
+        let cells = (0..500u64)
+            .map(|i| Json::obj([("cell", i.into()), ("label", "li-drvp_all_dead_lv".into())]));
+        let body = Json::obj([("cells", Json::Arr(cells.collect()))]);
+        let mut out = CountingWriter::default();
+        write_json_response(&mut out, 200, &[("Retry-After", "1".to_owned())], &body).unwrap();
+        assert!(out.bytes.len() > 16 * 1024, "{} bytes", out.bytes.len());
+        assert_eq!(out.writes, 1, "head and body must go out in one write");
+        let text = String::from_utf8(out.bytes).unwrap();
+        let (head, payload) = text.split_once("\r\n\r\n").unwrap();
+        assert!(head.starts_with("HTTP/1.1 200 OK\r\n"));
+        assert!(head.contains("\r\nRetry-After: 1"));
+        assert!(head.contains(&format!("Content-Length: {}", payload.len())));
+
+        let text_body = "x".repeat(20 * 1024);
+        let mut out = CountingWriter::default();
+        write_text_response(&mut out, 200, "text/plain", &[], &text_body).unwrap();
+        assert_eq!(out.writes, 1);
+        assert!(out.bytes.ends_with(text_body.as_bytes()));
+    }
 }

@@ -581,6 +581,9 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
     // keep-alive requests is reaped silently.
     let _ = stream.set_read_timeout(Some(Duration::from_secs(inner.cfg.read_timeout_secs.max(1))));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(120)));
+    // Each response leaves in one write; without this, Nagle could hold
+    // it back until the client acknowledges the previous one.
+    let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else { return };
     let mut write_half = write_half;
     let mut reader = BufReader::new(stream);
