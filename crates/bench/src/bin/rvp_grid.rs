@@ -3,7 +3,10 @@
 //!
 //! Runs every paper scheme over every workload on a work-stealing pool
 //! of OS threads, streaming one JSON file per cell to the output
-//! directory as it completes, then prints a throughput summary.
+//! directory as it completes, then prints a throughput summary. Cells
+//! that hand the timing core the same input (an `srvp_*` marking no
+//! load and `no_predict`, say) share one simulation through the
+//! runner's run memo; the summary reports `simulations: N for M cells`.
 //!
 //! ```text
 //! rvp-grid [OUT_DIR] [--workloads A,B,...] [--schemes A,B,...] \
@@ -499,6 +502,7 @@ fn main() -> ExitCode {
         simulated as f64 / elapsed.as_secs_f64() / 1e6,
     );
     println!("profiles collected: {}", runner.profiles.len());
+    println!("simulations: {} for {} cells", runner.runs.len(), successes.len());
     let sources = runner.source_counters.snapshot();
     if !sources.is_empty() {
         let t = runner.source_counters.total();
@@ -529,6 +533,7 @@ fn main() -> ExitCode {
         ("elapsed_s".into(), elapsed.as_secs_f64().into()),
         ("simulated_insts".into(), simulated.into()),
         ("profiles".into(), (runner.profiles.len() as u64).into()),
+        ("simulations".into(), (runner.runs.len() as u64).into()),
         ("source_mode".into(), runner.source_mode.name().into()),
         (
             "cell_seconds".into(),

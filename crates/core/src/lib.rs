@@ -35,6 +35,7 @@
 
 mod fatal;
 mod journal;
+mod memo;
 mod runner;
 mod sampling;
 mod schemes;
@@ -44,9 +45,10 @@ pub use fatal::{
     EXIT_EMU, EXIT_IO, EXIT_POISONED, EXIT_STRUCTURE, EXIT_USAGE,
 };
 pub use journal::{journal_line, parse_journal_line, write_atomic};
+pub use memo::Memo;
 pub use runner::{
-    grid_config_fnv, ProfileCache, RunResult, Runner, SharedTraceCache, SourceCounters, SourceMode,
-    SourceTally,
+    grid_config_fnv, ProfileCache, RunMemo, RunResult, Runner, SharedTraceCache, SourceCounters,
+    SourceMode, SourceTally,
 };
 pub use sampling::SamplingCaches;
 pub use schemes::{

@@ -1,6 +1,6 @@
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -11,7 +11,7 @@ use rvp_obs::log;
 use rvp_profile::{Fig1Row, PlanScope, PredictionPlan, Profile, ProfileConfig};
 use rvp_realloc::{reallocate, ReallocOptions};
 use rvp_sample::{combine_weighted, SamplePlan, SampleSpec, SampleWindow};
-use rvp_trace::{TraceInput, TraceMeta, TraceStore};
+use rvp_trace::{program_hash, Fnv1a, TraceInput, TraceMeta, TraceStore};
 use rvp_uarch::TraceColumns;
 use rvp_uarch::{
     CommittedSource, ObsConfig, PlanMode, Recovery, ReplaySource, Scheme, SharedSource, SimError,
@@ -19,6 +19,7 @@ use rvp_uarch::{
 };
 use rvp_workloads::{Input, Workload};
 
+use crate::memo::Memo;
 use crate::sampling::{build_plan, extract_plan_windows, sample_key, SamplingCaches};
 use crate::schemes::{PlanSource, SchemeSpec};
 
@@ -61,55 +62,13 @@ type ProfileKey = (&'static str, Input, u64, u64);
 ///
 /// `Runner::run` needs the train profile for most schemes, and a figure
 /// column runs every scheme over the same workload — without the cache
-/// the (expensive) profile is recollected per scheme. Entries are locked
-/// individually, so two grid threads asking for the *same* profile
-/// compute it once while profiles of different workloads proceed in
-/// parallel.
-#[derive(Clone, Default)]
-pub struct ProfileCache {
-    slots: Arc<Mutex<HashMap<ProfileKey, ProfileSlot>>>,
-}
+/// the (expensive) profile is recollected per scheme.
+pub type ProfileCache = Memo<ProfileKey, Arc<Profile>>;
 
-/// One cache entry, locked independently of the map.
-type ProfileSlot = Arc<Mutex<Option<Arc<Profile>>>>;
-
-impl ProfileCache {
-    /// Returns the cached profile for `key`, collecting it with
-    /// `collect` on first use. Failures are returned and not cached.
-    fn get_or_collect(
-        &self,
-        key: ProfileKey,
-        collect: impl FnOnce() -> Result<Profile, SimError>,
-    ) -> Result<Arc<Profile>, SimError> {
-        let slot = {
-            let mut slots = self.slots.lock().expect("profile cache poisoned");
-            slots.entry(key).or_default().clone()
-        };
-        let mut entry = slot.lock().expect("profile slot poisoned");
-        if let Some(profile) = entry.as_ref() {
-            return Ok(Arc::clone(profile));
-        }
-        let profile = Arc::new(collect()?);
-        *entry = Some(Arc::clone(&profile));
-        Ok(profile)
-    }
-
-    /// Number of cached profiles.
-    pub fn len(&self) -> usize {
-        self.slots.lock().expect("profile cache poisoned").len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl fmt::Debug for ProfileCache {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ProfileCache({} entries)", self.len())
-    }
-}
+/// A thread-safe memo of whole simulations by run fingerprint
+/// ([`Runner::run`]), shared by clones of a [`Runner`]: the stats and,
+/// for a sampled cell, the plan behind them.
+pub type RunMemo = Memo<u64, (SimStats, Option<Arc<SamplePlan>>)>;
 
 /// Where a measurement run's committed-instruction stream comes from.
 ///
@@ -380,6 +339,21 @@ impl fmt::Debug for SourceCounters {
     }
 }
 
+/// One cell, prepared for measurement by [`Runner::run`].
+struct PreparedCell {
+    /// The unmarked, unreallocated ref program: sampled cells key and
+    /// build their plan on it, whatever the cell simulates.
+    base: Program,
+    /// The program the cell simulates when it is not `base`: `rvp_`
+    /// marked, or register-reallocated.
+    transformed: Option<Program>,
+    /// The scheme the timing core runs.
+    scheme: Scheme,
+    /// Whether `transformed` is a register reallocation (its committed
+    /// records differ from `base`'s).
+    reallocated: bool,
+}
+
 /// Executes paper experiments: profile on train, measure on ref.
 #[derive(Debug, Clone)]
 pub struct Runner {
@@ -413,6 +387,10 @@ pub struct Runner {
     /// Memo of collected profiles, shared across clones (and therefore
     /// across the threads of a parallel grid).
     pub profiles: ProfileCache,
+    /// Memo of simulations by run fingerprint, shared across clones:
+    /// cells that hand the timing core the same input simulate once
+    /// ([`Runner::run`]); `runs.len()` counts the distinct simulations.
+    pub runs: RunMemo,
     /// On-disk committed-trace cache; when present, profiles are
     /// collected by replaying traces instead of re-running the emulator.
     /// Defaults to the `RVP_TRACE_DIR` environment variable.
@@ -460,6 +438,7 @@ impl Default for Runner {
             workload_scale: 1,
             samples: SamplingCaches::default(),
             profiles: ProfileCache::default(),
+            runs: RunMemo::default(),
             traces: TraceStore::from_env(),
             source_mode: SourceMode::default(),
             shared_traces,
@@ -499,8 +478,8 @@ impl Runner {
     /// when one is configured).
     fn train_profile_for(&self, wl: &Workload, train: &Program) -> Result<Arc<Profile>, SimError> {
         let key = (wl.name(), Input::Train, self.profile_insts, self.workload_scale);
-        self.profiles.get_or_collect(key, || {
-            self.collect_profile(wl.name(), Input::Train, train, self.profile_insts)
+        self.profiles.get_or_try_init(key, || {
+            self.collect_profile(wl.name(), Input::Train, train, self.profile_insts).map(Arc::new)
         })
     }
 
@@ -548,16 +527,56 @@ impl Runner {
 
     /// Runs one (workload, scheme) cell.
     ///
+    /// The cell's program and scheme are prepared first (profile, plan,
+    /// `rvp_` marking or reallocation), then the simulation is looked up
+    /// in [`Runner::runs`] under the cell's run fingerprint
+    /// ([`Runner::run_fingerprint`]): cells that resolve to the same
+    /// machine input — `srvp_*` levels marking the same loads, assist
+    /// plans with the same relations, an `srvp_*` marking nothing and
+    /// `no_predict` — simulate once and share the stats. A peer's
+    /// failure is not shared: a cell that waited on it runs itself,
+    /// after re-checking its own cancel token.
+    ///
     /// # Errors
     ///
     /// Propagates simulator errors; these indicate workload or model
     /// bugs, not expected outcomes.
     pub fn run(&self, wl: &Workload, scheme: &SchemeSpec) -> Result<RunResult, SimError> {
         self.check_cancel()?;
+        let cell = self.prepare(wl, scheme)?;
+        let key = self.fingerprint(&cell);
+        let PreparedCell { base, transformed, scheme: sim_scheme, reallocated } = cell;
+        let program = transformed.as_ref().unwrap_or(&base);
+        let (stats, sampling) = self.runs.get_or_try_init(key, || -> Result<_, SimError> {
+            // This cell may have waited out a peer's failed run; its
+            // own token may have fired meanwhile.
+            self.check_cancel()?;
+            Ok(match self.sampling {
+                Some(spec) => {
+                    let (stats, plan) =
+                        self.measure_sampled(wl, &base, program, sim_scheme, &spec, reallocated)?;
+                    (stats, Some(plan))
+                }
+                None => (self.measure(wl, program, sim_scheme, reallocated)?, None),
+            })
+        })?;
+        Ok(RunResult { workload: wl.name(), scheme: scheme.label().to_owned(), stats, sampling })
+    }
+
+    /// The run fingerprint of one (workload, scheme) cell under this
+    /// runner: the key [`Runner::run`] memoizes its simulation under.
+    ///
+    /// # Errors
+    ///
+    /// Propagates errors from preparing the cell (the train profile).
+    pub fn run_fingerprint(&self, wl: &Workload, scheme: &SchemeSpec) -> Result<u64, SimError> {
+        Ok(self.fingerprint(&self.prepare(wl, scheme)?))
+    }
+
+    /// Builds what a cell simulates: the ref program (marked or
+    /// reallocated, as the scheme asks) and the machine's [`Scheme`].
+    fn prepare(&self, wl: &Workload, scheme: &SchemeSpec) -> Result<PreparedCell, SimError> {
         let info = scheme.info();
-        // `base` stays the unmarked, unreallocated ref program: sampled
-        // cells key and build their plan on it, whatever `program`
-        // becomes below.
         let base = self.program_for(wl, Input::Ref);
         let train = self.program_for(wl, Input::Train);
         if base.len() != train.len() {
@@ -566,8 +585,6 @@ impl Runner {
                 ref_len: base.len(),
             });
         }
-        let mut program = Cow::Borrowed(&base);
-
         let profile =
             if scheme.needs_profile() { Some(self.train_profile_for(wl, &train)?) } else { None };
 
@@ -575,12 +592,13 @@ impl Runner {
             Some(p) => Scheme::new(scheme.label().to_owned(), info.scope, p),
             None => Scheme::no_predict(),
         };
+        let mut transformed = None;
         match info.plan {
             PlanSource::NoPlan => {}
             PlanSource::Static(level) => {
                 let profile = profile.as_ref().expect("profiled");
                 let plan = profile.static_plan(&train, self.threshold, level);
-                program = Cow::Owned(mark_rvp_loads(&base, &plan));
+                transformed = Some(mark_rvp_loads(&base, &plan));
                 sim_scheme = sim_scheme.with_plan(plan, PlanMode::Exhaustive);
             }
             PlanSource::Assist(assist) => {
@@ -592,20 +610,41 @@ impl Runner {
                 // Actually transform the program; the hardware then runs
                 // the plain predictor with no oracle plan.
                 let profile = profile.as_ref().expect("profiled");
-                program = Cow::Owned(reallocate(&base, profile, &self.realloc_options()).program);
+                transformed = Some(reallocate(&base, profile, &self.realloc_options()).program);
             }
         }
+        Ok(PreparedCell {
+            base,
+            transformed,
+            scheme: sim_scheme,
+            reallocated: info.plan == PlanSource::Realloc,
+        })
+    }
 
-        let reallocated = info.plan == PlanSource::Realloc;
-        let (stats, sampling) = match self.sampling {
-            Some(spec) => {
-                let (stats, plan) =
-                    self.measure_sampled(wl, &base, &program, sim_scheme, &spec, reallocated)?;
-                (stats, Some(plan))
-            }
-            None => (self.measure(wl, &program, sim_scheme, reallocated)?, None),
-        };
-        Ok(RunResult { workload: wl.name(), scheme: scheme.label().to_owned(), stats, sampling })
+    /// FNV-1a over everything the measurement of `cell` reads: the
+    /// scheme's prediction part ([`Scheme::hash_prediction`]), the
+    /// simulated program, the recovery model, the machine, the budget
+    /// and the instrumentation, plus the sampling spec and base program
+    /// for a sampled cell. The scheme label, the plan source, the
+    /// source mode (every source is bit-identical) and the cancel token
+    /// are left out.
+    fn fingerprint(&self, cell: &PreparedCell) -> u64 {
+        let program = cell.transformed.as_ref().unwrap_or(&cell.base);
+        let simulated = program_hash(program);
+        let mut h = Fnv1a::default();
+        cell.scheme.hash_prediction(program, &self.config, &mut h);
+        h.write_u64(simulated);
+        let machine =
+            format!("|{:?}|{}|{:?}|{:?}", self.recovery, self.measure_insts, self.config, self.obs);
+        h.write(machine.as_bytes());
+        if let Some(spec) = &self.sampling {
+            h.write(spec.fingerprint_component().as_bytes());
+            h.write_u64(match &cell.transformed {
+                Some(_) => program_hash(&cell.base),
+                None => simulated,
+            });
+        }
+        h.finish()
     }
 
     /// Runs one timing simulation, feeding the committed stream per
@@ -861,8 +900,8 @@ impl Runner {
     pub fn fig1(&self, wl: &Workload) -> Result<Fig1Row, SimError> {
         let program = self.program_for(wl, Input::Ref);
         let key = (wl.name(), Input::Ref, self.measure_insts, self.workload_scale);
-        let profile = self.profiles.get_or_collect(key, || {
-            self.collect_profile(wl.name(), Input::Ref, &program, self.measure_insts)
+        let profile = self.profiles.get_or_try_init(key, || {
+            self.collect_profile(wl.name(), Input::Ref, &program, self.measure_insts).map(Arc::new)
         })?;
         Ok(profile.fig1())
     }

@@ -14,10 +14,8 @@
 //! content-addressed next to the trace store, so re-running a sweep
 //! skips the profiling pass entirely.
 
-use std::collections::HashMap;
-use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use rvp_emu::Emulator;
 use rvp_isa::Program;
@@ -25,6 +23,8 @@ use rvp_json::{Json, ToJson};
 use rvp_obs::log;
 use rvp_sample::{extract_windows, BbvConfig, BbvProfiler, SamplePlan, SampleSpec, SampleWindow};
 use rvp_uarch::SimError;
+
+use crate::memo::Memo;
 
 /// Content key for a sampling plan, or for the windows cut from one
 /// program's committed stream: everything either is a function of,
@@ -46,18 +46,14 @@ pub(crate) fn sample_key(
     rvp_trace::fnv1a(key.as_bytes())
 }
 
-type PlanSlot = Arc<Mutex<Option<Arc<SamplePlan>>>>;
-type WindowSlot = Arc<Mutex<Option<Arc<Vec<SampleWindow>>>>>;
-
 /// Thread-safe memos of sampling plans and extracted windows, shared by
 /// clones of a [`crate::Runner`] exactly like its profile and trace
-/// caches: entries are locked individually, so grid threads racing on
-/// the same workload profile it once while different workloads proceed
-/// in parallel.
-#[derive(Clone, Default)]
+/// caches: grid threads racing on the same workload profile it once
+/// while different workloads proceed in parallel.
+#[derive(Clone, Default, Debug)]
 pub struct SamplingCaches {
-    plans: Arc<Mutex<HashMap<u64, PlanSlot>>>,
-    windows: Arc<Mutex<HashMap<u64, WindowSlot>>>,
+    plans: Memo<u64, Arc<SamplePlan>>,
+    windows: Memo<u64, Arc<Vec<SampleWindow>>>,
 }
 
 impl SamplingCaches {
@@ -71,26 +67,17 @@ impl SamplingCaches {
         dir: Option<&Path>,
         build: impl FnOnce() -> Result<SamplePlan, SimError>,
     ) -> Result<Arc<SamplePlan>, SimError> {
-        let slot = {
-            let mut slots = self.plans.lock().expect("plan cache poisoned");
-            slots.entry(key).or_default().clone()
-        };
-        let mut entry = slot.lock().expect("plan slot poisoned");
-        if let Some(plan) = entry.as_ref() {
-            return Ok(Arc::clone(plan));
-        }
-        let path = dir.map(|d| plan_path(d, key));
-        if let Some(plan) = path.as_ref().and_then(|p| load_plan(p)) {
-            let plan = Arc::new(plan);
-            *entry = Some(Arc::clone(&plan));
-            return Ok(plan);
-        }
-        let plan = Arc::new(build()?);
-        if let Some(p) = &path {
-            store_plan(p, &plan);
-        }
-        *entry = Some(Arc::clone(&plan));
-        Ok(plan)
+        self.plans.get_or_try_init(key, || {
+            let path = dir.map(|d| plan_path(d, key));
+            if let Some(plan) = path.as_ref().and_then(|p| load_plan(p)) {
+                return Ok(Arc::new(plan));
+            }
+            let plan = build()?;
+            if let Some(p) = &path {
+                store_plan(p, &plan);
+            }
+            Ok(Arc::new(plan))
+        })
     }
 
     /// The extracted windows for `key`, memoized like [`Self::plan`].
@@ -102,33 +89,17 @@ impl SamplingCaches {
         key: u64,
         extract: impl FnOnce() -> Result<Vec<SampleWindow>, SimError>,
     ) -> Result<Arc<Vec<SampleWindow>>, SimError> {
-        let slot = {
-            let mut slots = self.windows.lock().expect("window cache poisoned");
-            slots.entry(key).or_default().clone()
-        };
-        let mut entry = slot.lock().expect("window slot poisoned");
-        if let Some(windows) = entry.as_ref() {
-            return Ok(Arc::clone(windows));
-        }
-        let windows = Arc::new(extract()?);
-        *entry = Some(Arc::clone(&windows));
-        Ok(windows)
+        self.windows.get_or_try_init(key, || extract().map(Arc::new))
     }
 
     /// Number of cached plans.
     pub fn plans_len(&self) -> usize {
-        self.plans.lock().expect("plan cache poisoned").len()
+        self.plans.len()
     }
 
     /// Number of cached window sets.
     pub fn windows_len(&self) -> usize {
-        self.windows.lock().expect("window cache poisoned").len()
-    }
-}
-
-impl fmt::Debug for SamplingCaches {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SamplingCaches({} plans, {} window sets)", self.plans_len(), self.windows_len())
+        self.windows.len()
     }
 }
 

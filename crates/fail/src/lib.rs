@@ -44,6 +44,7 @@
 //! a deterministic hit order (e.g. `RVP_THREADS=1`).
 
 use std::collections::HashMap;
+use std::hash::Hasher;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock, RwLock};
 
@@ -152,12 +153,34 @@ fn stats() -> &'static Mutex<HashMap<String, SiteStats>> {
 /// format, journals and content addresses all use it), kept here
 /// because this crate has no dependencies.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a::default();
+    h.write(bytes);
+    h.finish()
+}
+
+/// [`fnv1a`] as a streaming [`Hasher`]: feeding it byte slices one
+/// after another hashes their concatenation, so a key made of many
+/// fields needs no intermediate buffer.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -339,6 +362,16 @@ mod tests {
     // the tests that arm schedules serialize on this mutex; the thread
     // filters are belt-and-braces on top.
     static SERIAL: Mutex<()> = Mutex::new(());
+
+    #[test]
+    fn streaming_fnv1a_hashes_the_concatenation() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        let mut h = Fnv1a::default();
+        h.write(b"rvp-");
+        h.write(b"grid");
+        assert_eq!(h.finish(), fnv1a(b"rvp-grid"));
+    }
 
     fn serial() -> std::sync::MutexGuard<'static, ()> {
         SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner)

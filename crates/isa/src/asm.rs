@@ -68,6 +68,18 @@ impl Program {
     /// inverse of [`parse_asm`]).
     pub fn to_asm(&self) -> String {
         let mut out = String::new();
+        self.write_asm(&mut out).expect("writing to a String cannot fail");
+        out
+    }
+
+    /// Writes [`Program::to_asm`]'s text to `out` piece by piece, so a
+    /// caller that only hashes the text never holds all of it (a data
+    /// segment alone can run to hundreds of kilobytes of text).
+    ///
+    /// # Errors
+    ///
+    /// Propagates `out`'s errors.
+    pub fn write_asm(&self, out: &mut impl fmt::Write) -> fmt::Result {
         if self.entry() != 0 {
             // The entry must be a label; synthesize one if needed.
             let name = self
@@ -75,14 +87,14 @@ impl Program {
                 .find(|&(_, pc)| pc == self.entry())
                 .map(|(n, _)| n.to_owned())
                 .unwrap_or_else(|| format!("__entry_{}", self.entry()));
-            out.push_str(&format!(".entry {name}\n"));
+            writeln!(out, ".entry {name}")?;
         }
         for seg in self.data() {
-            out.push_str(&format!(".data {:#x}:", seg.base));
+            write!(out, ".data {:#x}:", seg.base)?;
             for (i, w) in seg.words.iter().enumerate() {
-                out.push_str(&format!("{} {:#x}", if i == 0 { "" } else { "," }, w));
+                write!(out, "{} {:#x}", if i == 0 { "" } else { "," }, w)?;
             }
-            out.push('\n');
+            out.write_char('\n')?;
         }
         let mut labels_at: BTreeMap<usize, Vec<String>> = BTreeMap::new();
         for (name, pc) in self.labels() {
@@ -94,7 +106,7 @@ impl Program {
         let procs = self.procedures();
         for (pc, inst) in self.insts().iter().enumerate() {
             if let Some(p) = procs.iter().find(|p| p.range.start == pc) {
-                out.push_str(&format!(".proc {}\n", p.name));
+                writeln!(out, ".proc {}", p.name)?;
             }
             if let Some(names) = labels_at.get(&pc) {
                 for n in names {
@@ -105,12 +117,12 @@ impl Program {
                     {
                         continue;
                     }
-                    out.push_str(&format!("{n}:\n"));
+                    writeln!(out, "{n}:")?;
                 }
             }
-            out.push_str(&format!("  {inst}\n"));
+            writeln!(out, "  {inst}")?;
         }
-        out
+        Ok(())
     }
 }
 

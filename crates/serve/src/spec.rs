@@ -3,8 +3,8 @@
 
 use rvp_bench::grid::GridCell;
 use rvp_core::{
-    by_name_or_err, grid_config_fnv, parse_recovery, recovery_name, Recovery, Runner, SampleSpec,
-    SchemeSpec, Workload,
+    by_name_or_err, grid_config_fnv, parse_recovery, recovery_name, Recovery, RunMemo, Runner,
+    SampleSpec, SchemeSpec, Workload,
 };
 use rvp_json::Json;
 
@@ -161,9 +161,14 @@ impl SweepSpec {
 
     /// A runner for this sweep: `base`'s shared caches (profiles,
     /// in-memory traces, trace store — this is what makes the daemon
-    /// multi-tenant) with this spec's knobs layered on top.
+    /// multi-tenant) with this spec's knobs layered on top, and a fresh
+    /// run memo ([`Runner::runs`]). Cells of one job that resolve to
+    /// the same machine input simulate once; the memo drops with the
+    /// job's last cell, so it needs no budget, and the result cache
+    /// stays the daemon's only store across jobs.
     pub fn runner_for(&self, base: &Runner) -> Runner {
         let mut runner = base.clone();
+        runner.runs = RunMemo::default();
         runner.recovery = self.recovery;
         runner.threshold = self.threshold;
         runner.measure_insts = self.measure_insts;

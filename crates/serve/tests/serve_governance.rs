@@ -173,13 +173,21 @@ fn overload_shedding_rejects_with_429_before_the_queue_cap() {
         request(daemon.addr, "GET", "/readyz", None).status == 200
     });
 
-    // Seed the queue-delay EWMA: a burst, then a pause so the single
-    // worker dequeues a few cells that waited measurably.
-    for i in 0..10 {
-        let r =
-            request(daemon.addr, "POST", "/sweep", Some(&one_cell(0.5 + i as f64 * 1e-4, false)));
-        assert!(r.status == 202, "seed burst admitted, got {}", r.status);
-    }
+    // Seed the queue-delay EWMA: one 10-cell sweep of distinct cells,
+    // then a pause so the single worker dequeues a few cells that
+    // waited measurably. One request into an empty queue is admitted
+    // by construction (the governor sheds only once the queue is deeper
+    // than the worker count); ten 1-cell sweeps would race the worker,
+    // and one of them could be shed before the flood began.
+    let seed = Json::obj([
+        ("workloads", Json::arr(["li", "go", "m88ksim", "ijpeg", "perl"].map(Json::from))),
+        ("schemes", Json::arr(["no_predict", "lvp"].map(Json::from))),
+        ("measure_insts", 4_000u64.into()),
+        ("profile_insts", 4_000u64.into()),
+        ("wait", false.into()),
+    ]);
+    let r = request(daemon.addr, "POST", "/sweep", Some(&seed));
+    assert!(r.status == 202, "seed sweep admitted, got {}", r.status);
     std::thread::sleep(Duration::from_millis(500));
 
     // Keep flooding: well before the 1000-cell cap, the governor sheds.

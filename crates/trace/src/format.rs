@@ -16,11 +16,12 @@
 
 use std::error::Error;
 use std::fmt;
+use std::hash::Hasher;
 
 use rvp_emu::{Committed, EmuError, STACK_TOP};
 use rvp_isa::{analysis::abi, Program, Reg, NUM_REGS};
 
-use crate::varint::{fnv1a, get_varint, put_varint, unzigzag, zigzag};
+use crate::varint::{fnv1a, get_varint, put_varint, unzigzag, zigzag, Fnv1a};
 
 /// Current format version; bumped on any byte-level change.
 pub const FORMAT_VERSION: u16 = 1;
@@ -151,9 +152,19 @@ impl TraceMeta {
 
 /// Structural hash of a program: its full textual form (instructions,
 /// data segments, procedures, entry) under FNV-1a. Any change to the
-/// generated workload invalidates cached traces.
+/// generated workload invalidates cached traces. The text is streamed
+/// into the hash ([`Program::write_asm`]), never built in memory.
 pub fn program_hash(program: &Program) -> u64 {
-    fnv1a(program.to_asm().as_bytes())
+    struct Sink(Fnv1a);
+    impl fmt::Write for Sink {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0.write(s.as_bytes());
+            Ok(())
+        }
+    }
+    let mut sink = Sink(Fnv1a::default());
+    program.write_asm(&mut sink).expect("hashing cannot fail");
+    sink.0.finish()
 }
 
 /// Everything that can go wrong reading or writing a trace.

@@ -61,5 +61,5 @@ mod writer;
 pub use format::{program_hash, TraceError, TraceInput, TraceMeta, FORMAT_VERSION, FRAME_RECORDS};
 pub use reader::TraceReader;
 pub use store::{StoreCounters, TraceStore, QUARANTINE_SUBDIR};
-pub use varint::fnv1a;
+pub use varint::{fnv1a, Fnv1a};
 pub use writer::{capture, TraceWriter};

@@ -48,9 +48,9 @@ pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// 64-bit FNV-1a over `bytes`: the workspace's one copy, which lives in
-/// the dependency-free `rvp-fail`.
-pub use rvp_fail::fnv1a;
+/// 64-bit FNV-1a over `bytes`, and its streaming form: the workspace's
+/// one copy, which lives in the dependency-free `rvp-fail`.
+pub use rvp_fail::{fnv1a, Fnv1a};
 
 #[cfg(test)]
 mod tests {

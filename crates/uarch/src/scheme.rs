@@ -1,7 +1,13 @@
+use std::hash::Hasher;
+
+use rvp_isa::Program;
 use rvp_vpred::{
     BufferConfig, BufferVp, CorrelationConfig, CorrelationVp, DrvpConfig, DrvpVp, GabbayVp,
-    LvpConfig, PredictionPlan, Scope, SrvpVp, ValuePredictor,
+    LvpConfig, PredictionPlan, ReuseKind, Scope, SrvpVp, ValuePredictor,
 };
+
+use crate::config::UarchConfig;
+use crate::meta::PredMode;
 
 /// Value-misprediction recovery mechanism (paper Section 4.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,6 +157,52 @@ impl Scheme {
     pub fn is_predicting(&self) -> bool {
         self.predictor.is_some()
     }
+
+    /// Feeds `state` everything the timing core reads from this scheme
+    /// when it runs `program`: the per-PC prediction table `Core::new`
+    /// builds (each PC's mode, reuse relation and correlation-learning
+    /// flag), then the scope and the predictor's canonical
+    /// [`ValuePredictor::spec`]. The label and the plan are not fed:
+    /// the core reads them only through the table.
+    ///
+    /// A scheme under which no PC is predicted or learns correlations
+    /// is *inert*: the core never asks its predictor for a decision,
+    /// and training touches only predictor state no statistic reads.
+    /// An inert scheme feeds the table alone, so it hashes exactly like
+    /// [`Scheme::no_predict`] over the same program.
+    pub fn hash_prediction(
+        &self,
+        program: &Program,
+        config: &UarchConfig,
+        state: &mut impl Hasher,
+    ) {
+        let mut inert = true;
+        for m in crate::meta::build(program, self, config) {
+            let (mode, reg) = match m.mode {
+                PredMode::Off => (0, 0),
+                PredMode::On(ReuseKind::SameReg) => (1, 0),
+                PredMode::On(ReuseKind::OtherReg(r)) => (2, r.index() as u8),
+                PredMode::On(ReuseKind::LastValue) => (3, 0),
+            };
+            state.write(&[mode, reg, u8::from(m.corr_learn)]);
+            inert &= mode == 0 && !m.corr_learn;
+        }
+        state.write_u8(u8::from(!inert));
+        if inert {
+            return;
+        }
+        state.write_u8(match self.scope {
+            Scope::LoadsOnly => 0,
+            Scope::AllInsts => 1,
+        });
+        // Non-inert implies a predictor: a table entry is on only when
+        // the scheme predicts.
+        if let Some(p) = &self.predictor {
+            let spec = p.spec();
+            state.write_usize(spec.len());
+            state.write(spec.as_bytes());
+        }
+    }
 }
 
 #[cfg(test)]
@@ -164,6 +216,34 @@ mod tests {
         assert!(!Scheme::no_predict().is_predicting());
         assert!(Scheme::drvp(Scope::AllInsts, PredictionPlan::new()).is_predicting());
         assert_eq!(Scheme::srvp(PredictionPlan::new()).plan_mode, PlanMode::Exhaustive);
+    }
+
+    #[test]
+    fn inert_schemes_hash_like_no_predict() {
+        use std::collections::hash_map::DefaultHasher;
+
+        let r = rvp_isa::Reg::int(1);
+        let mut b = rvp_isa::ProgramBuilder::new();
+        b.li(r, 10);
+        b.label("top");
+        b.subi(r, r, 1);
+        b.bnez(r, "top");
+        b.halt();
+        let program = b.build().unwrap();
+        let key = |s: &Scheme| {
+            let mut h = DefaultHasher::new();
+            s.hash_prediction(&program, &UarchConfig::table1(), &mut h);
+            h.finish()
+        };
+        let none = key(&Scheme::no_predict());
+        // An exhaustive plan listing nothing, and a loads-only predictor
+        // over a program without loads, predict nothing.
+        assert_eq!(key(&Scheme::srvp(PredictionPlan::new())), none);
+        assert_eq!(key(&Scheme::lvp_loads()), none);
+        // Predicting schemes key by predictor.
+        let lvp_all = key(&Scheme::lvp_all());
+        assert_ne!(lvp_all, none);
+        assert_ne!(key(&Scheme::drvp(Scope::AllInsts, PredictionPlan::new())), lvp_all);
     }
 
     #[test]
