@@ -11,8 +11,9 @@
 //!   each completed cell as it lands — `--resume` replays the journal,
 //!   re-verifies every recorded cell file by checksum, and re-runs only
 //!   what is missing, torn, or was never attempted;
-//! * **per-cell failure containment** — each cell attempt runs under
-//!   `catch_unwind` (optionally on a watchdog thread with a deadline),
+//! * **per-cell failure containment** — each cell attempt runs inline
+//!   under `catch_unwind` (optionally with a deadline-armed child of the
+//!   caller's cancel token),
 //!   transient I/O faults are retried with bounded backoff, and a
 //!   failing cell walks the degradation ladder (shared → replay → live
 //!   committed-stream source) before it is recorded as *poisoned*. A
@@ -23,17 +24,14 @@
 //! (panics, delays and injected-transient I/O land exactly where a real
 //! fault would), `grid.cell.write` fires in the atomic cell write.
 
-use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::mpsc;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use rvp_core::span::SpanGuard;
 use rvp_core::{
-    fnv1a, journal_line, log, parse_journal_line, CancelToken, Json, RunResult, Runner, SchemeSpec,
-    SimError, SourceMode, ToJson, Workload,
+    fnv1a, log, CancelToken, Json, Log, RunResult, Runner, SchemeSpec, SimError, SourceMode,
+    ToJson, Workload,
 };
 
 pub use rvp_core::{grid_config_fnv, write_atomic};
@@ -59,8 +57,8 @@ pub struct CellOptions {
     /// Extra attempts per ladder stage for *transient* failures
     /// (injected or real I/O trouble), with exponential backoff.
     pub retries: u32,
-    /// Wall-clock deadline per attempt; `0` disables the watchdog and
-    /// runs the cell inline on the worker thread.
+    /// Wall-clock deadline per attempt, enforced through a child cancel
+    /// token; `0` means none.
     pub timeout_secs: u64,
 }
 
@@ -180,112 +178,37 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// One contained attempt: `catch_unwind` around the simulation, the
 /// `grid.cell.run` chaos site inside the contained region, and an
-/// optional *cooperative* watchdog deadline — the attempt then runs on
-/// its own thread with a deadline-armed [`CancelToken`]; on expiry the
-/// cycle loop observes the token, squashes, and the thread is joined
-/// (no abandoned threads, no leaked allocations).
+/// optional *cooperative* deadline — the attempt then runs under a
+/// child of the caller's [`CancelToken`] armed with it, which the cycle
+/// loop polls. The squash is a per-attempt timeout unless the caller's
+/// own token fired.
 fn attempt(runner: &Runner, cell: &GridCell, timeout_secs: u64) -> Result<RunResult, AttemptError> {
-    let body =
-        |r: &Runner, wl: &Workload, scheme: &SchemeSpec| -> Result<RunResult, AttemptError> {
-            if let Some(fault) = rvp_fail::check("grid.cell.run") {
-                if matches!(
-                    fault,
-                    rvp_fail::Fault::Io | rvp_fail::Fault::ShortRead | rvp_fail::Fault::BitFlip
-                ) {
-                    return Err(AttemptError::Transient(
-                        "injected fault at failpoint grid.cell.run".to_owned(),
-                    ));
-                }
-            }
-            r.run(wl, scheme).map_err(|e: SimError| match e {
-                SimError::Cancelled { .. } => AttemptError::Cancelled(e.to_string()),
-                other => AttemptError::Sim(other.to_string()),
-            })
-        };
-    if timeout_secs == 0 {
-        return catch_unwind(AssertUnwindSafe(|| body(runner, &cell.workload, &cell.scheme)))
-            .unwrap_or_else(|p| Err(AttemptError::Panic(panic_message(p))));
-    }
-
-    // The watchdogged thread gets its own token with the attempt
-    // deadline; the caller's token (if any) is *forwarded* into it from
-    // the wait loop below, so a job abort or drain squash still lands
-    // while the watchdog is standing guard.
-    let parent = runner.cancel.clone();
-    let watchdog = CancelToken::with_deadline(Duration::from_secs(timeout_secs));
+    let parent: CancelToken = runner.cancel.clone().unwrap_or_default();
     let mut r = runner.clone();
-    r.cancel = Some(watchdog.clone());
-    let (tx, rx) = mpsc::channel();
-    let wl = cell.workload.clone();
-    let scheme = cell.scheme.clone();
-    let spawned =
-        std::thread::Builder::new().name(format!("cell-{}", cell.label())).spawn(move || {
-            let out = catch_unwind(AssertUnwindSafe(|| body(&r, &wl, &scheme)))
-                .unwrap_or_else(|p| Err(AttemptError::Panic(panic_message(p))));
-            let _ = tx.send(out);
-        });
-    let handle = match spawned {
-        Ok(handle) => handle,
-        Err(e) => return Err(AttemptError::Transient(format!("cannot spawn cell thread: {e}"))),
-    };
-
-    // After the token fires the simulation squashes within one poll
-    // window (milliseconds); this grace bound only matters if an
-    // attempt is stuck somewhere that genuinely cannot poll.
-    const WAIT_SLICE: Duration = Duration::from_millis(25);
-    const SQUASH_GRACE: Duration = Duration::from_secs(10);
-    let parent_fired = || parent.as_ref().is_some_and(CancelToken::is_cancelled);
-    let mut fired_at: Option<Instant> = None;
-    loop {
-        match rx.recv_timeout(WAIT_SLICE) {
-            Ok(out) => {
-                let _ = handle.join();
-                return match out {
-                    // The squash the thread reports is the watchdog's
-                    // unless the caller's own token fired: a deadline is
-                    // an ordinary per-attempt timeout (ladder descent),
-                    // a forwarded cancel abandons the cell.
-                    Err(AttemptError::Cancelled(detail)) => {
-                        if parent_fired() {
-                            Err(AttemptError::Cancelled(detail))
-                        } else {
-                            Err(AttemptError::Timeout)
-                        }
-                    }
-                    other => other,
-                };
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                let _ = handle.join();
-                return Err(AttemptError::Panic("cell thread exited without a result".to_owned()));
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if let Some(p) = &parent {
-                    if p.poll().is_some() {
-                        watchdog.cancel(&p.detail().unwrap_or_else(|| "caller cancelled".into()));
-                    }
-                }
-                let _ = watchdog.poll(); // promote an expired deadline to fired
-                if watchdog.is_cancelled() {
-                    let since = *fired_at.get_or_insert_with(Instant::now);
-                    if since.elapsed() > SQUASH_GRACE {
-                        // Should be unreachable — every long stage polls.
-                        // Abandon the thread as a last resort and say so.
-                        log::error(
-                            "rvp-grid",
-                            "cell ignored its cancel token past the grace window; abandoning it",
-                            &[("cell", cell.label().into())],
-                        );
-                        return Err(if parent_fired() {
-                            AttemptError::Cancelled("cell unresponsive to cancel".to_owned())
-                        } else {
-                            AttemptError::Timeout
-                        });
-                    }
-                }
+    if timeout_secs > 0 {
+        let token = parent.child();
+        token.set_deadline(Duration::from_secs(timeout_secs));
+        r.cancel = Some(token);
+    }
+    let run = || -> Result<RunResult, AttemptError> {
+        if let Some(fault) = rvp_fail::check("grid.cell.run") {
+            if matches!(
+                fault,
+                rvp_fail::Fault::Io | rvp_fail::Fault::ShortRead | rvp_fail::Fault::BitFlip
+            ) {
+                return Err(AttemptError::Transient(
+                    "injected fault at failpoint grid.cell.run".to_owned(),
+                ));
             }
         }
-    }
+        r.run(&cell.workload, &cell.scheme).map_err(|e: SimError| match e {
+            SimError::Cancelled { .. } if !parent.is_cancelled() => AttemptError::Timeout,
+            SimError::Cancelled { .. } => AttemptError::Cancelled(e.to_string()),
+            other => AttemptError::Sim(other.to_string()),
+        })
+    };
+    catch_unwind(AssertUnwindSafe(run))
+        .unwrap_or_else(|p| Err(AttemptError::Panic(panic_message(p))))
 }
 
 fn backoff(attempt_idx: u32) {
@@ -551,41 +474,23 @@ impl ManifestCell {
     }
 }
 
+/// The manifest's header line: it gates a resume on the grid
+/// configuration fingerprint.
+fn manifest_header(config_fnv: u64) -> Json {
+    Json::obj([
+        ("kind", "header".into()),
+        ("version", 1u64.into()),
+        ("config_fnv", config_fnv.into()),
+    ])
+}
+
 /// Loads the journaled cells of a previous run from `dir`, dropping
 /// anything unverifiable: a missing/corrupt header, a config
 /// fingerprint mismatch, a torn or checksum-failing line. Returns an
 /// empty list when there is nothing trustworthy to resume from.
 pub fn load_manifest(dir: &Path, config_fnv: u64) -> Vec<ManifestCell> {
-    let Ok(text) = std::fs::read_to_string(dir.join(MANIFEST_FILE)) else {
-        return Vec::new();
-    };
-    let mut lines = text.lines();
-    let Some(header) = lines.next().and_then(parse_journal_line) else {
-        log::warn("rvp-grid", "manifest header unreadable; not resuming from it", &[]);
-        return Vec::new();
-    };
-    let header_ok = header.get("kind").and_then(Json::as_str) == Some("header")
-        && header.get("config_fnv").and_then(Json::as_u64) == Some(config_fnv);
-    if !header_ok {
-        log::warn(
-            "rvp-grid",
-            "manifest was journaled under a different grid configuration; ignoring it",
-            &[("path", dir.join(MANIFEST_FILE).display().to_string().into())],
-        );
-        return Vec::new();
-    }
-    let mut cells = Vec::new();
-    for line in lines {
-        match parse_journal_line(line).as_ref().and_then(ManifestCell::from_json) {
-            Some(cell) => cells.push(cell),
-            None => log::warn(
-                "rvp-grid",
-                "dropping unverifiable manifest line",
-                &[("line", line.chars().take(80).collect::<String>().into())],
-            ),
-        }
-    }
-    cells
+    let records = Log::replay(&dir.join(MANIFEST_FILE), &manifest_header(config_fnv));
+    records.unwrap_or_default().iter().filter_map(ManifestCell::from_json).collect()
 }
 
 /// Re-verifies a journaled cell against the bytes actually on disk.
@@ -596,11 +501,11 @@ pub fn verify_manifest_cell(dir: &Path, cell: &ManifestCell) -> bool {
     }
 }
 
-/// The append-only manifest journal for a running sweep. Thread-safe;
-/// every append is flushed and fsynced before it returns, so a cell is
+/// The append-only manifest journal for a running sweep: a [`Log`]
+/// whose every append is fsynced before it returns, so a cell is
 /// either fully journaled or not journaled at all.
 pub struct Manifest {
-    file: Mutex<std::fs::File>,
+    log: Log,
 }
 
 impl Manifest {
@@ -608,27 +513,14 @@ impl Manifest {
     /// one) holding the header plus the already-verified `kept` cells,
     /// then reopens it for appending.
     pub fn start(dir: &Path, config_fnv: u64, kept: &[ManifestCell]) -> std::io::Result<Manifest> {
-        let header = Json::obj([
-            ("kind", "header".into()),
-            ("version", 1u64.into()),
-            ("config_fnv", config_fnv.into()),
-        ]);
-        let mut text = journal_line(&header);
-        for cell in kept {
-            text.push_str(&journal_line(&cell.to_json()));
-        }
-        let path = dir.join(MANIFEST_FILE);
-        write_atomic(&path, text.as_bytes())?;
-        let file = std::fs::OpenOptions::new().append(true).open(&path)?;
-        Ok(Manifest { file: Mutex::new(file) })
+        let kept: Vec<Json> = kept.iter().map(ManifestCell::to_json).collect();
+        let log = Log::create(&dir.join(MANIFEST_FILE), &manifest_header(config_fnv), &kept)?;
+        Ok(Manifest { log })
     }
 
     /// Journals one completed cell, durably.
     pub fn append(&self, cell: &ManifestCell) -> std::io::Result<()> {
-        let line = journal_line(&cell.to_json());
-        let mut file = self.file.lock().expect("manifest poisoned");
-        file.write_all(line.as_bytes())?;
-        file.sync_data()
+        self.log.append(&cell.to_json())
     }
 }
 

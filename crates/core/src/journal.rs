@@ -1,51 +1,21 @@
-//! Durable-write primitives shared by everything that persists run
-//! state: the grid's cell files and manifest, and the serve daemon's
-//! job journal and result cache.
+//! The checksummed, fsynced record log behind every journal of run
+//! state: the grid's `grid_manifest.jsonl` and the serve daemon's
+//! `serve_journal.jsonl`.
 //!
-//! Two building blocks:
-//!
-//! * [`write_atomic`] — write-temp/fsync/rename, so a crash at any
-//!   point leaves either the previous contents or the complete new
-//!   ones, never a torn file;
-//! * [`journal_line`] / [`parse_journal_line`] — one checksummed JSON
-//!   record per line (`<fnv1a:016x> <json>\n`), so an append-only
-//!   journal tolerates a torn final line from a crash mid-append: the
-//!   unverifiable line is detected and dropped rather than trusted.
+//! One record per line (`<fnv1a:016x> <json>\n`, [`journal_line`]), so
+//! a log tolerates a torn final line from a crash mid-append: the
+//! unverifiable line is detected and dropped rather than trusted. The
+//! atomic publish it compacts with, [`write_atomic`], lives with the
+//! rest of the durable-store layer in `rvp-trace`.
 
-use std::io::Write;
+use std::fs::File;
+use std::io::{self, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use rvp_json::Json;
-use rvp_trace::fnv1a;
-
-/// Write-temp/fsync/rename: after a crash at any point, `path` holds
-/// either its previous contents or the complete new ones.
-///
-/// The temp name is unique per process *and* per call, so concurrent
-/// writers targeting the same path (e.g. two serve workers emitting
-/// the same cell label) never share a temp file — each rename
-/// publishes its own complete bytes and the last rename wins.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error; the temp file is removed on
-/// failure.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-    let tmp = path.with_extension(format!("tmp.{}.{seq}", std::process::id()));
-    let result = (|| {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-        std::fs::rename(&tmp, path)
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
-}
+use rvp_obs::log;
+use rvp_trace::{fnv1a, write_atomic};
 
 /// Renders one journal record as `<fnv1a-of-json:016x> <json>\n`.
 pub fn journal_line(json: &Json) -> String {
@@ -56,13 +26,83 @@ pub fn journal_line(json: &Json) -> String {
 /// Parses one journal line back, returning `None` for anything
 /// unverifiable: a missing checksum, a checksum mismatch (torn or
 /// tampered line), or malformed JSON.
-pub fn parse_journal_line(line: &str) -> Option<Json> {
+fn parse_journal_line(line: &str) -> Option<Json> {
     let (sum, text) = line.split_once(' ')?;
     let sum = u64::from_str_radix(sum, 16).ok()?;
     if fnv1a(text.as_bytes()) != sum {
         return None;
     }
     Json::parse(text).ok()
+}
+
+/// An append-only log of [`journal_line`] records whose first line is a
+/// header the reader must match exactly — a log written under another
+/// configuration or format version is ignored wholesale. Thread-safe;
+/// every append is written and `sync_data`ed before it returns, so a
+/// record is either fully logged or not logged at all.
+#[derive(Debug)]
+pub struct Log {
+    file: Mutex<File>,
+}
+
+impl Log {
+    /// The records of the log at `path`, in order, if its first line
+    /// verifies and equals `header`; torn or unverifiable lines are
+    /// skipped. `None` when the file is missing or its header is
+    /// unreadable or different.
+    pub fn replay(path: &Path, header: &Json) -> Option<Vec<Json>> {
+        let text = std::fs::read_to_string(path).ok()?;
+        let mut lines = text.lines();
+        if lines.next().and_then(parse_journal_line).as_ref() != Some(header) {
+            log::warn(
+                "rvp_core::journal",
+                "log header unreadable or written under a different configuration; ignoring it",
+                &[("path", path.display().to_string().into())],
+            );
+            return None;
+        }
+        let records = lines.filter_map(|line| {
+            let record = parse_journal_line(line);
+            if record.is_none() {
+                log::warn(
+                    "rvp_core::journal",
+                    "dropping unverifiable log line",
+                    &[("line", line.chars().take(80).collect::<String>().into())],
+                );
+            }
+            record
+        });
+        Some(records.collect())
+    }
+
+    /// Compacts the log at `path` to `header` plus `records` with one
+    /// atomic rewrite — a crash leaves the old log or the new one — and
+    /// opens it for appending.
+    ///
+    /// # Errors
+    ///
+    /// Returns the I/O error of the rewrite or the reopen.
+    pub fn create(path: &Path, header: &Json, records: &[Json]) -> io::Result<Log> {
+        let mut text = journal_line(header);
+        for record in records {
+            text.push_str(&journal_line(record));
+        }
+        write_atomic(path, text.as_bytes())?;
+        let file = std::fs::OpenOptions::new().append(true).open(path)?;
+        Ok(Log { file: Mutex::new(file) })
+    }
+
+    /// Appends one record, durably.
+    ///
+    /// # Errors
+    ///
+    /// Returns the I/O error of the write or the sync.
+    pub fn append(&self, record: &Json) -> io::Result<()> {
+        let line = journal_line(record);
+        let mut file = self.file.lock().expect("log poisoned");
+        file.write_all(line.as_bytes())?;
+        file.sync_data()
+    }
 }
 
 #[cfg(test)]
@@ -126,6 +166,33 @@ mod tests {
         assert!(bytes.windows(2).all(|w| w[0] == w[1]), "torn interleaved write");
         // No temp droppings left behind.
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn log_gates_on_its_header_and_skips_torn_lines() {
+        let dir = std::env::temp_dir().join(format!("rvp-log-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("log.jsonl");
+        let header = Json::obj([("kind", "header".into()), ("version", 1u64.into())]);
+        let rec = |n: u64| Json::obj([("n", n.into())]);
+        assert_eq!(Log::replay(&path, &header), None, "missing log");
+
+        let log = Log::create(&path, &header, &[rec(1)]).unwrap();
+        log.append(&rec(2)).unwrap();
+        drop(log);
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        text.push_str("0123456789abcdef {\"n\":3");
+        std::fs::write(&path, &text).unwrap();
+        assert_eq!(Log::replay(&path, &header), Some(vec![rec(1), rec(2)]));
+
+        let other = Json::obj([("kind", "header".into()), ("version", 2u64.into())]);
+        assert_eq!(Log::replay(&path, &other), None, "different header");
+
+        // Compaction rewrites the log wholesale.
+        drop(Log::create(&path, &header, &[rec(2)]).unwrap());
+        assert_eq!(Log::replay(&path, &header), Some(vec![rec(2)]));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError, TryLockError};
 
 /// A thread-safe map from key to a value computed at most once per key,
 /// shared by clones.
@@ -47,6 +47,20 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
         let value = init()?;
         *entry = Some(value.clone());
         Ok(value)
+    }
+
+    /// Forgets `key`, so its next caller computes it afresh; callers
+    /// still holding its value keep their clone. Returns false, leaving
+    /// the entry alone, while the entry is busy — its fill in flight.
+    pub(crate) fn remove(&self, key: &K) -> bool {
+        let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        let busy = slots
+            .get(key)
+            .is_some_and(|slot| matches!(slot.try_lock(), Err(TryLockError::WouldBlock)));
+        if !busy {
+            slots.remove(key);
+        }
+        !busy
     }
 }
 
@@ -111,5 +125,28 @@ mod tests {
         assert!(panicked.is_err());
         assert_eq!(memo.get_or_try_init(3, || Ok::<_, ()>(4)), Ok(4));
         assert_eq!(memo.len(), 3);
+    }
+
+    #[test]
+    fn remove_forgets_a_value_but_skips_a_fill_in_flight() {
+        let memo: Memo<u32, u64> = Memo::default();
+        assert_eq!(memo.get_or_try_init(1, || Ok::<_, ()>(7)), Ok(7));
+        assert!(memo.remove(&1));
+        assert_eq!(memo.get_or_try_init(1, || Ok::<_, ()>(8)), Ok(8), "recomputed after remove");
+
+        let (filling, release) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                memo.get_or_try_init(2, || {
+                    filling.wait();
+                    release.wait();
+                    Ok::<_, ()>(9)
+                })
+            });
+            filling.wait();
+            assert!(!memo.remove(&2), "a fill in flight is not removed");
+            release.wait();
+        });
+        assert_eq!(memo.get_or_try_init(2, || Ok::<_, ()>(0)), Ok(9));
     }
 }

@@ -116,13 +116,10 @@ impl SourceMode {
 /// reason.
 type TraceKey = (&'static str, Input, u64, u64);
 
-/// One shared-trace entry, locked independently of the map.
-type TraceSlot = Arc<Mutex<Option<Arc<TraceColumns>>>>;
-
 /// A thread-safe memo of decoded in-memory traces, shared by clones of
-/// a [`Runner`] exactly like [`ProfileCache`]: entries are locked
-/// individually, so grid threads racing on the *same* workload decode
-/// it once while different workloads decode in parallel.
+/// a [`Runner`] exactly like [`ProfileCache`]: grid threads racing on
+/// the *same* workload decode it once while different workloads decode
+/// in parallel.
 ///
 /// With a byte budget set ([`SharedTraceCache::set_budget_bytes`],
 /// accounted via [`TraceColumns::approx_bytes`]), the least-recently
@@ -132,7 +129,9 @@ type TraceSlot = Arc<Mutex<Option<Arc<TraceColumns>>>>;
 /// key simply re-materializes.
 #[derive(Clone, Default)]
 pub struct SharedTraceCache {
-    slots: Arc<Mutex<HashMap<TraceKey, (TraceSlot, u64)>>>,
+    traces: Memo<TraceKey, Arc<TraceColumns>>,
+    /// `(last use, bytes)` of every materialized trace, by key.
+    resident: Arc<Mutex<HashMap<TraceKey, (u64, u64)>>>,
     tick: Arc<AtomicU64>,
     budget_bytes: Arc<AtomicU64>,
     evicted: Arc<AtomicU64>,
@@ -141,27 +140,41 @@ pub struct SharedTraceCache {
 impl SharedTraceCache {
     /// Returns the cached trace for `key`, materializing it with
     /// `capture` on first use; the flag reports whether this call did
-    /// the capture. Failures are returned and not cached.
+    /// the capture. Failures are returned and not cached. A capture
+    /// over the budget drops least-recently-used traces, never the one
+    /// just materialized nor one whose fill is in flight.
     fn get_or_capture(
         &self,
         key: TraceKey,
         capture: impl FnOnce() -> Result<Arc<TraceColumns>, SimError>,
     ) -> Result<(Arc<TraceColumns>, bool), SimError> {
-        let slot = {
-            let mut slots = self.slots.lock().expect("trace cache poisoned");
-            let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-            let entry = slots.entry(key).or_default();
-            entry.1 = tick;
-            entry.0.clone()
-        };
-        let mut entry = slot.lock().expect("trace slot poisoned");
-        if let Some(trace) = entry.as_ref() {
-            return Ok((Arc::clone(trace), false));
+        let mut captured = false;
+        let trace = self.traces.get_or_try_init(key, || {
+            captured = true;
+            capture()
+        })?;
+        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
+        let mut resident = self.resident.lock().expect("trace cache poisoned");
+        if !captured {
+            if let Some(entry) = resident.get_mut(&key) {
+                entry.0 = tick;
+            }
+            return Ok((trace, false));
         }
-        let trace = capture()?;
-        *entry = Some(Arc::clone(&trace));
-        drop(entry);
-        self.evict_to_budget(&key);
+        resident.insert(key, (tick, trace.approx_bytes()));
+        let budget = self.budget_bytes.load(Ordering::Relaxed);
+        if budget > 0 {
+            let entries = resident.iter().map(|(key, &(last_use, bytes))| (last_use, *key, bytes));
+            let entries = entries.collect();
+            let evicted = rvp_trace::evict_lru("shared.traces", entries, budget, &key, |victim| {
+                let gone = self.traces.remove(victim);
+                if gone {
+                    resident.remove(victim);
+                }
+                gone
+            });
+            self.evicted.fetch_add(evicted, Ordering::Relaxed);
+        }
         Ok((trace, true))
     }
 
@@ -176,70 +189,20 @@ impl SharedTraceCache {
         self.evicted.load(Ordering::Relaxed)
     }
 
-    /// Drops least-recently-used traces until resident bytes fit the
-    /// budget, never dropping `keep` (just materialized). Slots being
-    /// filled right now hold their own lock — `try_lock` skips them,
-    /// which is correct: an in-progress fill is by definition in use.
-    fn evict_to_budget(&self, keep: &TraceKey) {
-        let budget = self.budget_bytes.load(Ordering::Relaxed);
-        if budget == 0 {
-            return;
-        }
-        let slots = self.slots.lock().expect("trace cache poisoned");
-        let mut resident: Vec<(u64, TraceKey, u64)> = Vec::new();
-        for (key, (slot, last_use)) in slots.iter() {
-            if let Ok(guard) = slot.try_lock() {
-                if let Some(trace) = guard.as_ref() {
-                    resident.push((*last_use, *key, trace.approx_bytes()));
-                }
-            }
-        }
-        let mut total: u64 = resident.iter().map(|(_, _, bytes)| bytes).sum();
-        if total <= budget {
-            return;
-        }
-        resident.sort_by_key(|(last_use, _, _)| *last_use);
-        let mut dropped = 0u64;
-        for (_, key, bytes) in resident {
-            if total <= budget {
-                break;
-            }
-            if key == *keep {
-                continue;
-            }
-            if let Some((slot, _)) = slots.get(&key) {
-                if let Ok(mut guard) = slot.try_lock() {
-                    *guard = None;
-                    total -= bytes;
-                    dropped += 1;
-                    self.evicted.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        if dropped > 0 && rvp_obs::span::armed() {
-            rvp_obs::span::record(
-                "cache.evict",
-                rvp_obs::span::current(),
-                rvp_obs::span::now_us(),
-                rvp_obs::span::now_us(),
-                vec![("cache".into(), "shared.traces".into()), ("evicted".into(), dropped.into())],
-            );
-        }
-    }
-
     /// Number of materialized traces.
     pub fn len(&self) -> usize {
-        self.slots
-            .lock()
-            .expect("trace cache poisoned")
-            .values()
-            .filter(|(slot, _)| slot.try_lock().map(|g| g.is_some()).unwrap_or(true))
-            .count()
+        self.resident.lock().expect("trace cache poisoned").len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Bytes of the materialized traces, as the budget accounts them.
+    pub fn resident_bytes(&self) -> u64 {
+        let resident = self.resident.lock().expect("trace cache poisoned");
+        resident.values().map(|(_, bytes)| bytes).sum()
     }
 }
 

@@ -128,7 +128,7 @@ fn store_plan(path: &Path, plan: &SamplePlan) {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
-        crate::journal::write_atomic(path, plan.to_json().to_string().as_bytes())
+        rvp_trace::write_atomic(path, plan.to_json().to_string().as_bytes())
     };
     if let Err(e) = write() {
         log::warn(

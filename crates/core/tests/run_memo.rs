@@ -142,3 +142,39 @@ fn source_mode_does_not_change_the_key() {
         assert_eq!(r.run_fingerprint(&wl, &scheme).unwrap(), want, "{mode:?}");
     }
 }
+
+/// The shared in-memory trace cache under a budget that holds one ref
+/// trace: measuring `li`, `go`, `li` must evict, keep resident bytes
+/// within the budget beyond the trace just materialized, and give
+/// `li`'s re-materialized trace the same stats. Each measurement gets a
+/// fresh run memo, so the cache (not the memo) serves it.
+#[test]
+fn shared_trace_budget_evicts_lru_and_keeps_results() {
+    let scheme = spec("no_predict");
+    let li = by_name("li").unwrap();
+    let go = by_name("go").unwrap();
+    let probe = Runner { source_mode: SourceMode::Shared, ..quick() };
+    probe.run(&li, &scheme).unwrap();
+    let budget = probe.shared_traces.resident_bytes();
+    assert!(budget > 0, "li materialized a shared trace");
+
+    let runner = Runner { source_mode: SourceMode::Shared, ..quick() };
+    runner.shared_traces.set_budget_bytes(budget);
+    let mut li_stats = Vec::new();
+    for wl in [&li, &go, &li] {
+        let result = Runner { runs: RunMemo::default(), ..runner.clone() }.run(wl, &scheme);
+        let cache = &runner.shared_traces;
+        assert!(
+            cache.resident_bytes() <= budget || cache.len() == 1,
+            "{}: {} resident bytes over a {budget}-byte budget in {} traces",
+            wl.name(),
+            cache.resident_bytes(),
+            cache.len()
+        );
+        if wl.name() == "li" {
+            li_stats.push(result.unwrap().stats);
+        }
+    }
+    assert!(runner.shared_traces.evicted() >= 1, "the budget evicted");
+    assert_eq!(li_stats[0], li_stats[1], "li's re-materialized trace changed its stats");
+}

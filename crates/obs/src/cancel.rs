@@ -3,7 +3,8 @@
 //! signal handler) and the party doing the work (the cycle loop).
 //!
 //! A [`CancelToken`] is a cheaply clonable handle over a shared atomic
-//! cancel flag plus an optional absolute deadline. Polling is designed
+//! cancel flag, an optional absolute deadline and an optional parent
+//! token whose firing it inherits. Polling is designed
 //! for hot loops: a disarmed token costs one relaxed load
 //! ([`CancelToken::is_cancelled`]), and the cycle loop only consults the
 //! deadline clock every `2^k` iterations (see `rvp-uarch`), so polling
@@ -43,6 +44,9 @@ impl CancelReason {
 
 #[derive(Debug, Default)]
 struct Inner {
+    /// The token this one is a [`CancelToken::child`] of: when it
+    /// fires, so does this one.
+    parent: Option<CancelToken>,
     /// Set once, never cleared. The only field hot paths touch.
     cancelled: AtomicBool,
     /// Absolute wall-clock deadline in microseconds since the Unix
@@ -58,6 +62,12 @@ struct Inner {
 
 /// Shared cancellation handle. `Clone` is an `Arc` bump; all clones
 /// observe the same flag and deadline.
+///
+/// Tokens form a tree: a [`child`](CancelToken::child) fires when it or
+/// any ancestor fires, while firing a child — or tightening its
+/// deadline — leaves its ancestors alone. The daemon roots every job
+/// and cell token in one token that drain fires; a grid attempt runs
+/// under a child of its caller's token carrying the attempt deadline.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     inner: Arc<Inner>,
@@ -73,12 +83,11 @@ impl CancelToken {
         Self::default()
     }
 
-    /// A token that fires `timeout` from now. Equivalent to
-    /// `CancelToken::new()` followed by [`set_deadline`](Self::set_deadline).
-    pub fn with_deadline(timeout: Duration) -> Self {
-        let t = Self::new();
-        t.set_deadline(timeout);
-        t
+    /// A new token that fires when this one (or any of its ancestors)
+    /// fires, and can also be fired — or given a tighter deadline — on
+    /// its own without affecting this one.
+    pub fn child(&self) -> Self {
+        CancelToken { inner: Arc::new(Inner { parent: Some(self.clone()), ..Inner::default() }) }
     }
 
     /// Arm (or tighten) the deadline to `timeout` from now. If a deadline
@@ -131,12 +140,13 @@ impl CancelToken {
         }
     }
 
-    /// Cheapest possible poll: one relaxed load, no clock read. Does NOT
-    /// notice deadline expiry on its own — pair with [`poll`](Self::poll)
-    /// on an amortized schedule.
+    /// Cheapest possible poll: one relaxed load per tree level, no
+    /// clock read. Does NOT notice deadline expiry on its own — pair
+    /// with [`poll`](Self::poll) on an amortized schedule.
     #[inline]
     pub fn is_cancelled(&self) -> bool {
         self.inner.cancelled.load(Ordering::Relaxed)
+            || self.inner.parent.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 
     /// Amortized poll: checks the flag and, if a deadline is armed, the
@@ -151,29 +161,27 @@ impl CancelToken {
             self.fire(CancelReason::DeadlineExceeded, "deadline exceeded");
             return Some(CancelReason::DeadlineExceeded);
         }
-        None
+        self.inner.parent.as_ref().and_then(CancelToken::poll)
     }
 
-    /// The reason the token fired, if it has.
+    /// The reason the token fired, if it has: its own, else the
+    /// nearest fired ancestor's.
     pub fn reason(&self) -> Option<CancelReason> {
         match self.inner.reason.load(Ordering::Acquire) {
             1 => Some(CancelReason::Cancelled),
             2 => Some(CancelReason::DeadlineExceeded),
-            _ => {
-                // `cancelled` may be set a beat before `reason` lands;
-                // report the generic reason rather than "not fired".
-                if self.is_cancelled() {
-                    Some(CancelReason::Cancelled)
-                } else {
-                    None
-                }
-            }
+            // `cancelled` may be set a beat before `reason` lands;
+            // report the generic reason rather than "not fired".
+            _ if self.inner.cancelled.load(Ordering::Acquire) => Some(CancelReason::Cancelled),
+            _ => self.inner.parent.as_ref().and_then(CancelToken::reason),
         }
     }
 
-    /// Operator-facing detail recorded at fire time.
+    /// Operator-facing detail recorded at fire time (an ancestor's,
+    /// when that is what fired this token).
     pub fn detail(&self) -> Option<String> {
-        self.inner.detail.lock().ok().and_then(|slot| slot.clone())
+        let own = self.inner.detail.lock().ok().and_then(|slot| slot.clone());
+        own.or_else(|| self.inner.parent.as_ref().and_then(CancelToken::detail))
     }
 
     /// True when both handles share the same underlying token.
@@ -185,6 +193,12 @@ impl CancelToken {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn with_deadline(timeout: Duration) -> CancelToken {
+        let t = CancelToken::new();
+        t.set_deadline(timeout);
+        t
+    }
 
     #[test]
     fn fresh_token_is_quiet() {
@@ -210,7 +224,7 @@ mod tests {
 
     #[test]
     fn expired_deadline_fires_on_poll_not_on_fast_path() {
-        let t = CancelToken::with_deadline(Duration::from_micros(0));
+        let t = with_deadline(Duration::from_micros(0));
         // The fast path never reads the clock.
         assert!(!t.is_cancelled());
         assert_eq!(t.poll(), Some(CancelReason::DeadlineExceeded));
@@ -220,7 +234,7 @@ mod tests {
 
     #[test]
     fn deadlines_only_tighten() {
-        let t = CancelToken::with_deadline(Duration::from_secs(3600));
+        let t = with_deadline(Duration::from_secs(3600));
         let loose = t.deadline_us().unwrap();
         t.set_deadline(Duration::from_secs(7200));
         assert_eq!(t.deadline_us().unwrap(), loose, "longer deadline ignored");
@@ -237,6 +251,44 @@ mod tests {
         assert!(a.is_cancelled());
         assert_eq!(a.detail().as_deref(), Some("via clone"));
         assert!(!a.same_token(&CancelToken::new()));
+    }
+
+    #[test]
+    fn a_child_fires_with_any_ancestor_but_never_fires_one() {
+        let root = CancelToken::new();
+        let child = root.child();
+        let grandchild = child.child();
+        let sibling = root.child();
+        grandchild.cancel("leaf only");
+        assert!(grandchild.is_cancelled());
+        assert!(!child.is_cancelled() && !root.is_cancelled(), "firing a child spares ancestors");
+
+        root.cancel("drain");
+        for t in [&child, &sibling] {
+            assert!(t.is_cancelled());
+            assert_eq!(t.poll(), Some(CancelReason::Cancelled));
+            assert_eq!(t.detail().as_deref(), Some("drain"));
+        }
+        // A token that fired first keeps its own reason and detail.
+        assert_eq!(grandchild.detail().as_deref(), Some("leaf only"));
+    }
+
+    #[test]
+    fn a_child_deadline_tightens_only_its_subtree() {
+        let root = with_deadline(Duration::from_secs(3600));
+        let child = root.child();
+        let grandchild = child.child();
+        child.set_deadline(Duration::from_micros(0));
+        assert_eq!(root.poll(), None, "the parent keeps its own deadline");
+        assert_eq!(grandchild.poll(), Some(CancelReason::DeadlineExceeded));
+        assert_eq!(child.reason(), Some(CancelReason::DeadlineExceeded));
+        assert!(!root.is_cancelled());
+
+        // An ancestor's expired deadline reaches every descendant.
+        let expired = with_deadline(Duration::from_micros(0));
+        let leaf = expired.child().child();
+        assert_eq!(leaf.poll(), Some(CancelReason::DeadlineExceeded));
+        assert!(expired.is_cancelled());
     }
 
     #[test]

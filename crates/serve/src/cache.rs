@@ -3,27 +3,23 @@
 //! One entry per simulated cell, keyed by the cell's config
 //! fingerprint ([`crate::spec::SweepSpec::cell_fingerprint`]) and
 //! stored as `cache/<key:016x>.json` — the exact bytes `rvp-grid`
-//! would have written for that cell. Entries are written atomically
-//! (temp + fsync + rename) so a killed daemon leaves either a complete
-//! entry or none; a repeat request after restart hits disk instead of
-//! re-simulating.
-//!
-//! When a byte budget is configured the cache is *governed*: every
-//! disk hit touches the entry's mtime, and after every write the
-//! least-recently-used entries are evicted until the directory is back
-//! under budget. Eviction is loss of a cache, never loss of data — an
-//! evicted cell simply re-simulates on its next request.
+//! would have written for that cell — in an `rvp_trace::BudgetDir`:
+//! entries are published atomically, so a killed daemon leaves either a
+//! complete entry or none, and under a byte budget the least recently
+//! used are evicted after every write. A repeat request after restart
+//! hits disk instead of re-simulating; an evicted cell re-simulates.
 
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
-use std::time::SystemTime;
 
-use rvp_core::write_atomic;
 use rvp_json::Json;
 use rvp_obs::log;
+use rvp_trace::BudgetDir;
+
+pub use rvp_trace::DISK_FULL_SITE;
 
 /// Subdirectory of the daemon state dir holding cache entries.
 pub const CACHE_SUBDIR: &str = "cache";
@@ -31,21 +27,12 @@ pub const CACHE_SUBDIR: &str = "cache";
 /// Failpoint consulted on every disk read of a cache entry.
 pub const CACHE_READ_SITE: &str = "serve.cache.read";
 
-/// Failpoint consulted on every disk write of a cache entry — the
-/// disk-full drill. An injected fault here behaves exactly like a full
-/// disk: the write fails, the entry serves from memory for this
-/// daemon's lifetime, and (when a budget is set) an eviction sweep
-/// frees space for the next write.
-pub const DISK_FULL_SITE: &str = "store.disk.full";
-
 /// Disk-backed result cache with a write-through in-memory map.
 #[derive(Debug)]
 pub struct ResultCache {
-    dir: PathBuf,
+    /// Governs the `<key:016x>.json` entries.
+    dir: BudgetDir,
     mem: Mutex<HashMap<u64, Arc<str>>>,
-    /// Disk budget in bytes; 0 means ungoverned (never evict).
-    budget_bytes: u64,
-    evictions: Arc<AtomicU64>,
 }
 
 impl ResultCache {
@@ -56,30 +43,29 @@ impl ResultCache {
 
     /// Opens the cache with a disk budget in bytes (`0` = unlimited).
     pub fn open_with_budget(state_dir: &Path, budget_bytes: u64) -> io::Result<ResultCache> {
-        let dir = state_dir.join(CACHE_SUBDIR);
-        std::fs::create_dir_all(&dir)?;
-        Ok(ResultCache {
-            dir,
-            mem: Mutex::new(HashMap::new()),
+        let dir = BudgetDir::open(
+            state_dir.join(CACHE_SUBDIR),
             budget_bytes,
-            evictions: Arc::new(AtomicU64::new(0)),
-        })
+            &[("", "json")],
+            "serve.results",
+        )?;
+        Ok(ResultCache { dir, mem: Mutex::new(HashMap::new()) })
     }
 
     /// Cache directory (entries are `<key:016x>.json`).
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.dir.path()
     }
 
     /// On-disk path of an entry.
     pub fn path_for(&self, key: u64) -> PathBuf {
-        self.dir.join(format!("{key:016x}.json"))
+        self.dir().join(format!("{key:016x}.json"))
     }
 
     /// Entries evicted so far; shared so a metrics collector can read
     /// it without holding the cache.
     pub fn evictions(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.evictions)
+        Arc::clone(self.dir.evictions())
     }
 
     /// Looks a key up: memory first, then disk (the `serve.cache.read`
@@ -108,12 +94,7 @@ impl ResultCache {
             let _ = std::fs::remove_file(&path);
             return Ok(None);
         }
-        if self.budget_bytes > 0 {
-            // Touch-on-hit keeps eviction order LRU rather than FIFO.
-            if let Ok(f) = std::fs::File::open(&path) {
-                let _ = f.set_modified(SystemTime::now());
-            }
-        }
+        self.dir.touch(&path);
         let text: Arc<str> = text.into();
         self.mem.lock().unwrap().insert(key, Arc::clone(&text));
         Ok(Some(text))
@@ -122,18 +103,21 @@ impl ResultCache {
     /// Write-through insert. The disk write is atomic; on failure the
     /// entry still serves from memory for this daemon's lifetime and
     /// the error is reported for logging (a later identical request
-    /// re-simulates instead of reading a torn file). A configured
-    /// budget is enforced after every write; a failed write (disk
-    /// full, injected at `store.disk.full`) also runs the sweep so the
-    /// *next* write has room.
+    /// re-simulates instead of reading a torn file). Evicted entries
+    /// leave the in-memory map too, so memory stays proportional to the
+    /// governed disk set.
     pub fn put(&self, key: u64, text: &str) -> io::Result<()> {
         self.mem.lock().unwrap().insert(key, text.into());
-        let written = rvp_fail::io_at(DISK_FULL_SITE)
-            .and_then(|()| write_atomic(&self.path_for(key), text.as_bytes()));
-        if self.budget_bytes > 0 {
-            self.evict_to_budget(Some(key));
-        }
-        written
+        let write = |tmp: &Path| std::fs::write(tmp, text);
+        self.dir.publish(&self.path_for(key), write, |evicted| {
+            let key = evicted
+                .file_stem()
+                .and_then(|s| s.to_str())
+                .and_then(|s| u64::from_str_radix(s, 16).ok());
+            if let Some(key) = key {
+                self.mem.lock().unwrap().remove(&key);
+            }
+        })
     }
 
     /// Entries currently resident in memory.
@@ -143,77 +127,14 @@ impl ResultCache {
 
     /// Total bytes of cache entries on disk.
     pub fn disk_bytes(&self) -> u64 {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else { return 0 };
-        entries
-            .filter_map(Result::ok)
-            .filter(|e| e.path().extension().is_some_and(|x| x == "json"))
-            .filter_map(|e| e.metadata().ok())
-            .map(|m| m.len())
-            .sum()
-    }
-
-    /// Evicts least-recently-used entries (by mtime; hits touch) until
-    /// the directory is back under budget, never evicting `keep` (the
-    /// entry just written). Evicted keys leave the in-memory map too,
-    /// so memory stays proportional to the governed disk set.
-    fn evict_to_budget(&self, keep: Option<u64>) {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else { return };
-        let mut files: Vec<(SystemTime, PathBuf, u64, Option<u64>)> = entries
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "json"))
-            .filter_map(|p| {
-                let meta = std::fs::metadata(&p).ok()?;
-                let key = p
-                    .file_stem()
-                    .and_then(|s| s.to_str())
-                    .and_then(|s| u64::from_str_radix(s, 16).ok());
-                Some((meta.modified().ok()?, p, meta.len(), key))
-            })
-            .collect();
-        let mut total: u64 = files.iter().map(|(_, _, len, _)| len).sum();
-        if total <= self.budget_bytes {
-            return;
-        }
-        files.sort_by_key(|(mtime, _, _, _)| *mtime);
-        let over = total.saturating_sub(self.budget_bytes);
-        let start_us = rvp_obs::span::now_us();
-        let mut evicted = 0u64;
-        for (_, path, len, key) in files {
-            if total <= self.budget_bytes {
-                break;
-            }
-            if key.is_some() && key == keep {
-                continue;
-            }
-            if std::fs::remove_file(&path).is_ok() {
-                total -= len;
-                evicted += 1;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                if let Some(key) = key {
-                    self.mem.lock().unwrap().remove(&key);
-                }
-            }
-        }
-        if evicted > 0 && rvp_obs::span::armed() {
-            rvp_obs::span::record(
-                "cache.evict",
-                rvp_obs::span::current(),
-                start_us,
-                rvp_obs::span::now_us(),
-                vec![
-                    ("cache".into(), "serve.results".into()),
-                    ("evicted".into(), evicted.into()),
-                    ("over_bytes".into(), over.into()),
-                ],
-            );
-        }
+        self.dir.disk_bytes()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
 
     fn tmp(name: &str) -> PathBuf {
         let dir =

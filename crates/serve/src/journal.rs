@@ -9,16 +9,14 @@
 //! just the still-pending jobs, so the journal stays proportional to
 //! in-flight work, not daemon lifetime.
 //!
-//! Lines use the shared `rvp_core` journal format (`<fnv1a:016x>
-//! <json>`): a torn tail from a crash mid-append is detected by
-//! checksum and ignored, exactly like the grid manifest.
+//! The file is an `rvp_core::Log`, the same checksummed, fsynced log as
+//! the grid manifest: a torn tail from a crash mid-append is detected
+//! by checksum and ignored.
 
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
-use rvp_core::{journal_line, parse_journal_line, write_atomic};
+use rvp_core::Log;
 use rvp_json::Json;
 use rvp_obs::log;
 
@@ -34,7 +32,7 @@ const VERSION: u64 = 1;
 #[derive(Debug)]
 pub struct JobJournal {
     path: PathBuf,
-    file: Mutex<File>,
+    log: Log,
 }
 
 impl JobJournal {
@@ -44,20 +42,12 @@ impl JobJournal {
     /// order; the caller re-submits them.
     pub fn open(state_dir: &Path) -> io::Result<(JobJournal, Vec<(u64, Json)>)> {
         let path = state_dir.join(JOURNAL_FILE);
-        let pending = replay(&path);
-
-        // Compact: rewrite header + still-pending jobs, atomically, so
-        // a crash during startup leaves either the old journal or the
-        // compacted one.
-        let mut text =
-            journal_line(&Json::obj([("kind", "header".into()), ("version", VERSION.into())]));
-        for (id, spec) in &pending {
-            text.push_str(&job_record(*id, spec));
-        }
-        write_atomic(&path, text.as_bytes())?;
-
-        let file = OpenOptions::new().append(true).open(&path)?;
-        Ok((JobJournal { path, file: Mutex::new(file) }, pending))
+        let header = Json::obj([("kind", "header".into()), ("version", VERSION.into())]);
+        let pending = pending_jobs(Log::replay(&path, &header).unwrap_or_default());
+        // Compact to the still-pending jobs.
+        let records: Vec<Json> = pending.iter().map(|(id, spec)| job_record(*id, spec)).collect();
+        let log = Log::create(&path, &header, &records)?;
+        Ok((JobJournal { path, log }, pending))
     }
 
     /// Durably records an admitted job. Called *before* the job is
@@ -71,7 +61,7 @@ impl JobJournal {
     /// is lost, restart re-submits a fully-cached job, which completes
     /// instantly without re-simulation.
     pub fn append_done(&self, id: u64) {
-        let record = journal_line(&Json::obj([("kind", "done".into()), ("id", id.into())]));
+        let record = Json::obj([("kind", "done".into()), ("id", id.into())]);
         if let Err(e) = self.append(&record) {
             log::warn(
                 "rvp-serve",
@@ -81,11 +71,9 @@ impl JobJournal {
         }
     }
 
-    fn append(&self, record: &str) -> io::Result<()> {
+    fn append(&self, record: &Json) -> io::Result<()> {
         rvp_fail::io_at(JOURNAL_APPEND_SITE)?;
-        let mut file = self.file.lock().unwrap();
-        file.write_all(record.as_bytes())?;
-        file.sync_data()
+        self.log.append(record)
     }
 
     /// Journal path (diagnostics).
@@ -94,43 +82,24 @@ impl JobJournal {
     }
 }
 
-fn job_record(id: u64, spec: &Json) -> String {
-    journal_line(&Json::obj([("kind", "job".into()), ("id", id.into()), ("spec", spec.clone())]))
+fn job_record(id: u64, spec: &Json) -> Json {
+    Json::obj([("kind", "job".into()), ("id", id.into()), ("spec", spec.clone())])
 }
 
-/// Reads a previous journal, tolerating a missing file, a torn tail
-/// and unknown records. Returns the jobs without a `done` record.
-fn replay(path: &Path) -> Vec<(u64, Json)> {
-    let mut text = String::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            if f.read_to_string(&mut text).is_err() {
-                return Vec::new();
-            }
-        }
-        Err(_) => return Vec::new(),
-    }
+/// The jobs of a replayed journal without a `done` record, in id order;
+/// unknown records are ignored.
+fn pending_jobs(records: Vec<Json>) -> Vec<(u64, Json)> {
     let mut jobs: Vec<(u64, Json)> = Vec::new();
-    let mut saw_header = false;
-    for line in text.lines() {
-        let Some(record) = parse_journal_line(line) else { continue };
-        match record.get("kind").and_then(Json::as_str) {
-            Some("header") => {
-                saw_header = record.get("version").and_then(Json::as_u64) == Some(VERSION);
-            }
-            Some("job") if saw_header => {
-                if let (Some(id), Some(spec)) =
-                    (record.get("id").and_then(Json::as_u64), record.get("spec"))
-                {
+    for record in records {
+        let id = record.get("id").and_then(Json::as_u64);
+        match (record.get("kind").and_then(Json::as_str), id) {
+            (Some("job"), Some(id)) => {
+                if let Some(spec) = record.get("spec") {
                     jobs.retain(|(existing, _)| *existing != id);
                     jobs.push((id, spec.clone()));
                 }
             }
-            Some("done") if saw_header => {
-                if let Some(id) = record.get("id").and_then(Json::as_u64) {
-                    jobs.retain(|(existing, _)| *existing != id);
-                }
-            }
+            (Some("done"), Some(id)) => jobs.retain(|(existing, _)| *existing != id),
             _ => {}
         }
     }
@@ -141,6 +110,9 @@ fn replay(path: &Path) -> Vec<(u64, Json)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rvp_core::journal_line;
+    use std::fs::OpenOptions;
+    use std::io::Write;
 
     fn tmp(name: &str) -> PathBuf {
         let dir =

@@ -136,18 +136,19 @@ pub struct Job {
     /// Stable id, also across daemon restarts (journaled).
     pub id: u64,
     /// Fired when the job is aborted (`DELETE /jobs/<id>`, client
-    /// disconnect, deadline, drain squash); sticky, first reason wins.
+    /// disconnect) or, as a child of the daemon's root token, drained;
+    /// sticky, first reason wins.
     pub cancel: CancelToken,
     state: Mutex<JobState>,
     cv: Condvar,
 }
 
 impl Job {
-    fn new(id: u64, slots: Vec<CellSlot>) -> Job {
+    fn new(id: u64, slots: Vec<CellSlot>, cancel: CancelToken) -> Job {
         let remaining = slots.iter().filter(|s| s.outcome.is_none()).count();
         Job {
             id,
-            cancel: CancelToken::new(),
+            cancel,
             state: Mutex::new(JobState { cells: slots, remaining }),
             cv: Condvar::new(),
         }
@@ -265,8 +266,9 @@ struct CellTask {
     parent_span: u64,
     /// The admitting job's id (correlation with `RVP_LOG` lines).
     job_id: u64,
-    /// The task's cancel token; also installed on `runner` so the sim
-    /// loop polls it. Fired by job abort, deadline expiry or drain.
+    /// The task's cancel token, a child of the daemon's root; also
+    /// installed on `runner` so the sim loop polls it. Fired by job
+    /// abort, deadline expiry or drain.
     cancel: CancelToken,
     cell: GridCell,
     runner: Runner,
@@ -309,6 +311,8 @@ struct Inner {
     base: Runner,
     cache: ResultCache,
     journal: JobJournal,
+    /// Parent of every job and task token: drain fires this one token.
+    root: CancelToken,
     metrics: Arc<ServeMetrics>,
     /// Every counter family in the process, unified for `/metrics`.
     registry: MetricsRegistry,
@@ -451,6 +455,7 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
         base,
         cache,
         journal,
+        root: CancelToken::new(),
         metrics: Arc::new(ServeMetrics::new()),
         registry: MetricsRegistry::new(),
         clock: Clock::monotonic(),
@@ -945,10 +950,7 @@ fn submit(
         inner.journal.append_job(id, record.get("spec").unwrap()).map_err(SubmitError::Journal)?;
     }
 
-    let job = Arc::new(Job::new(id, slots));
-    if let Some(d) = deadline {
-        job.cancel.set_deadline(d);
-    }
+    let job = Arc::new(Job::new(id, slots, inner.root.child()));
     inner.jobs.lock().unwrap().insert(id, Arc::clone(&job));
     inner.metrics.jobs_submitted.fetch_add(1, Ordering::Relaxed);
 
@@ -980,10 +982,10 @@ fn submit(
                 }
                 continue;
             }
-            let token = match deadline {
-                Some(d) => CancelToken::with_deadline(d),
-                None => CancelToken::new(),
-            };
+            let token = inner.root.child();
+            if let Some(d) = deadline {
+                token.set_deadline(d);
+            }
             sched.tokens.insert(fingerprint, token.clone());
             let cell = GridCell {
                 workload: cells[idx].workload.clone(),
@@ -1231,17 +1233,7 @@ fn drain(inner: &Arc<Inner>) {
                 "drain window expired; squashing in-flight cells (journal preserves them)",
                 &[],
             );
-            {
-                let sched = inner.sched.lock().unwrap();
-                for token in sched.tokens.values() {
-                    token.cancel("drain window expired");
-                }
-            }
-            for job in inner.jobs.lock().unwrap().values() {
-                if !job.is_done() {
-                    job.cancel.cancel("drain window expired");
-                }
-            }
+            inner.root.cancel("drain window expired");
             // Bounded grace for the workers to squash out of their
             // cells; a cooperative squash takes milliseconds, so this
             // only runs long if a cell is wedged below the poll mask.

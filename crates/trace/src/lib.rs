@@ -26,6 +26,12 @@
 //! corruption is an automatic re-capture, never an error surfaced to an
 //! experiment.
 //!
+//! The crate also owns the workspace's durable-store layer, the lowest
+//! crate every persisting layer depends on: [`write_atomic`], the
+//! byte-budgeted LRU directory [`BudgetDir`] that both the trace store
+//! and the serve result cache hold, and the [`evict_lru`] policy the
+//! in-memory shared-trace cache reuses.
+//!
 //! # Examples
 //!
 //! ```
@@ -52,12 +58,14 @@
 //! assert_eq!(recorded[1].new_value, 8);
 //! ```
 
+mod durable;
 mod format;
 mod reader;
 mod store;
 mod varint;
 mod writer;
 
+pub use durable::{evict_lru, write_atomic, BudgetDir, DISK_FULL_SITE};
 pub use format::{program_hash, TraceError, TraceInput, TraceMeta, FORMAT_VERSION, FRAME_RECORDS};
 pub use reader::TraceReader;
 pub use store::{StoreCounters, TraceStore, QUARANTINE_SUBDIR};

@@ -7,6 +7,7 @@ use std::sync::Arc;
 use rvp_isa::Program;
 use rvp_obs::log;
 
+use crate::durable::BudgetDir;
 use crate::format::{TraceError, TraceMeta};
 use crate::reader::TraceReader;
 use crate::writer::capture;
@@ -19,7 +20,8 @@ pub struct StoreCounters {
     captures: AtomicU64,
     fallbacks: AtomicU64,
     quarantined: AtomicU64,
-    evicted: AtomicU64,
+    /// The store directory's eviction counter.
+    evicted: Arc<AtomicU64>,
 }
 
 impl StoreCounters {
@@ -72,20 +74,13 @@ impl StoreCounters {
 /// preserved for diagnosis but can never be opened again.
 #[derive(Debug, Clone)]
 pub struct TraceStore {
-    dir: PathBuf,
+    /// Governs `*.rvpt` entries and persisted sampling plans.
+    dir: BudgetDir,
     counters: Arc<StoreCounters>,
-    /// Disk budget in bytes over `*.rvpt` entries and persisted
-    /// sampling plans; 0 = ungoverned (never evict).
-    budget_bytes: u64,
 }
 
 /// Subdirectory rejected cache entries are moved into.
 pub const QUARANTINE_SUBDIR: &str = "quarantine";
-
-/// Failpoint consulted before every capture write — the disk-full
-/// drill. The same site name as the serve result cache's, so one
-/// armed plan exercises both stores.
-pub const DISK_FULL_SITE: &str = "store.disk.full";
 
 impl TraceStore {
     /// Creates a store rooted at `dir` (created if absent). Stale
@@ -101,11 +96,15 @@ impl TraceStore {
         dir: impl Into<PathBuf>,
         budget_bytes: u64,
     ) -> Result<TraceStore, TraceError> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        let store = TraceStore { dir, counters: Arc::new(StoreCounters::default()), budget_bytes };
-        store.sweep_stale_tmp();
-        Ok(store)
+        let dir = BudgetDir::open(
+            dir.into(),
+            budget_bytes,
+            &[("", "rvpt"), ("plans", "json")],
+            "trace.store",
+        )?;
+        let counters =
+            StoreCounters { evicted: Arc::clone(dir.evictions()), ..StoreCounters::default() };
+        Ok(TraceStore { dir, counters: Arc::new(counters) })
     }
 
     /// Builds a store from the `RVP_TRACE_DIR` environment variable, or
@@ -135,54 +134,25 @@ impl TraceStore {
 
     /// Root directory of the cache.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.dir.path()
     }
 
     /// Directory quarantined (rejected) cache files are moved into.
     pub fn quarantine_dir(&self) -> PathBuf {
-        self.dir.join(QUARANTINE_SUBDIR)
+        self.dir().join(QUARANTINE_SUBDIR)
     }
 
-    /// On-disk path for a given key.
+    /// On-disk path for a given key. The program hash is part of the
+    /// name, so the programs of one workload at different scales never
+    /// contend for (and keep quarantining) one file.
     pub fn path_for(&self, meta: &TraceMeta) -> PathBuf {
-        self.dir.join(format!("{}-{}-{}.rvpt", meta.workload, meta.input.tag(), meta.budget))
-    }
-
-    /// Removes leftover `*.tmp.<pid>` files from captures that died
-    /// before their atomic rename. Only files whose pid no longer names
-    /// a temp file written by *this* process are candidates, and the
-    /// sweep is best-effort: a livelocked unlink never fails a run.
-    ///
-    /// Several stores may open the same directory at once — a second
-    /// grid process starting up, or the serve daemon opening the store
-    /// while a grid run is active. A candidate vanishing between the
-    /// directory listing and the unlink (someone else swept it, or its
-    /// owner finished the atomic rename) is the expected outcome of
-    /// that race, not an error.
-    fn sweep_stale_tmp(&self) {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else { return };
-        let own = format!(".tmp.{}", std::process::id());
-        for entry in entries.filter_map(Result::ok) {
-            let path = entry.path();
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if !name.contains(".tmp.") || name.ends_with(own.as_str()) {
-                continue;
-            }
-            match std::fs::remove_file(&path) {
-                Ok(()) => log::debug(
-                    "rvp_trace::store",
-                    "removed stale capture temp file",
-                    &[("path", path.display().to_string().into())],
-                ),
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => log::debug(
-                    "rvp_trace::store",
-                    "could not remove stale temp file; leaving it",
-                    &[("path", path.display().to_string().into()), ("error", e.to_string().into())],
-                ),
-            }
-        }
+        self.dir().join(format!(
+            "{}-{}-{}-{:016x}.rvpt",
+            meta.workload,
+            meta.input.tag(),
+            meta.budget,
+            meta.program_hash
+        ))
     }
 
     /// Opens the cached trace for `meta` if one exists and is valid in
@@ -202,12 +172,7 @@ impl TraceStore {
         if let Some(field) = meta_diff(reader.meta(), meta) {
             return Err(TraceError::MetaMismatch { field });
         }
-        if self.budget_bytes > 0 {
-            // Touch-on-hit keeps the budget sweep LRU rather than FIFO.
-            if let Ok(f) = std::fs::File::open(&path) {
-                let _ = f.set_modified(std::time::SystemTime::now());
-            }
-        }
+        self.dir.touch(&path);
         Ok(reader)
     }
 
@@ -277,108 +242,26 @@ impl TraceStore {
     }
 
     /// Captures `program` under `meta`, atomically replacing any
-    /// existing entry: the trace is written to a temp file, fsynced, and
-    /// renamed into place, so a reader in another process never observes
-    /// a half-written trace — and a failed capture never leaves a
-    /// partial temp file behind.
+    /// existing entry ([`BudgetDir::publish`]): a reader in another
+    /// process never observes a half-written trace, and a failed
+    /// capture never leaves a partial temp file behind.
     pub fn capture(&self, program: &Program, meta: &TraceMeta) -> Result<u64, TraceError> {
         let _span = rvp_obs::span!("trace.write", {
             workload: meta.workload.as_str(),
             budget: meta.budget,
         });
-        let path = self.path_for(meta);
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        let result = (|| {
-            rvp_fail::io_at(DISK_FULL_SITE)?;
-            let n = capture(program, meta, &tmp)?;
-            // Make the bytes durable before the rename publishes them:
-            // after a crash the cache holds either the old entry or the
-            // complete new one, never a torn file.
-            std::fs::File::open(&tmp)?.sync_all()?;
+        let write = |tmp: &Path| {
+            let n = capture(program, meta, tmp)?;
             rvp_fail::io_at("trace.store.rename")?;
-            std::fs::rename(&tmp, &path)?;
             Ok(n)
-        })();
-        if result.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        if self.budget_bytes > 0 {
-            // Enforce the budget even after a failed write (a full disk
-            // is exactly when freeing space helps the next capture).
-            self.evict_to_budget(&path);
-        }
-        result
+        };
+        self.dir.publish(&self.path_for(meta), write, |_| {})
     }
 
     /// Total bytes of governed files (traces and persisted sampling
     /// plans; quarantined files are diagnostic state, not cache).
     pub fn disk_bytes(&self) -> u64 {
-        self.governed_files().into_iter().map(|(_, _, len)| len).sum()
-    }
-
-    fn governed_files(&self) -> Vec<(std::time::SystemTime, PathBuf, u64)> {
-        let mut files = Vec::new();
-        let mut scan = |dir: &Path, ext: &str| {
-            let Ok(entries) = std::fs::read_dir(dir) else { return };
-            for path in entries.filter_map(Result::ok).map(|e| e.path()) {
-                if path.extension().is_none_or(|x| x != ext) {
-                    continue;
-                }
-                let Ok(meta) = std::fs::metadata(&path) else { continue };
-                let Ok(mtime) = meta.modified() else { continue };
-                files.push((mtime, path, meta.len()));
-            }
-        };
-        scan(&self.dir, "rvpt");
-        scan(&self.dir.join("plans"), "json");
-        files
-    }
-
-    /// Evicts least-recently-used governed files (hits touch mtime)
-    /// until the store fits its budget, never evicting `keep` (the
-    /// entry just captured). Loss here is only a cache loss: an evicted
-    /// trace re-captures, an evicted plan re-profiles.
-    fn evict_to_budget(&self, keep: &Path) {
-        let mut files = self.governed_files();
-        let mut total: u64 = files.iter().map(|(_, _, len)| len).sum();
-        if total <= self.budget_bytes {
-            return;
-        }
-        files.sort_by_key(|(mtime, _, _)| *mtime);
-        let start_us = rvp_obs::span::now_us();
-        let over = total - self.budget_bytes;
-        let mut evicted = 0u64;
-        for (_, path, len) in files {
-            if total <= self.budget_bytes {
-                break;
-            }
-            if path == keep {
-                continue;
-            }
-            if std::fs::remove_file(&path).is_ok() {
-                total -= len;
-                evicted += 1;
-                self.counters.evicted.fetch_add(1, Ordering::Relaxed);
-                log::debug(
-                    "rvp_trace::store",
-                    "evicted cache entry to stay under budget",
-                    &[("path", path.display().to_string().into())],
-                );
-            }
-        }
-        if evicted > 0 && rvp_obs::span::armed() {
-            rvp_obs::span::record(
-                "cache.evict",
-                rvp_obs::span::current(),
-                start_us,
-                rvp_obs::span::now_us(),
-                vec![
-                    ("cache".into(), "trace.store".into()),
-                    ("evicted".into(), evicted.into()),
-                    ("over_bytes".into(), over.into()),
-                ],
-            );
-        }
+        self.dir.disk_bytes()
     }
 }
 

@@ -322,11 +322,15 @@ fn store_falls_back_on_program_hash_skew() {
     let old_program = looping_program(50);
     let new_program = looping_program(60); // same shape, different constants
     let budget = 1 << 20;
-    store.capture(&old_program, &meta_for(&old_program, budget)).expect("capture old");
+    let old_meta = meta_for(&old_program, budget);
+    store.capture(&old_program, &old_meta).expect("capture old");
 
-    // Same (workload, input, budget) key, so the cache paths collide;
-    // the stored program hash must force a re-capture.
+    // Same (workload, input, budget) key. File names carry the program
+    // hash, so force the collision a foreign file would cause (a cache
+    // copied in by hand): the stored program hash must still force a
+    // re-capture.
     let meta = meta_for(&new_program, budget);
+    std::fs::rename(store.path_for(&old_meta), store.path_for(&meta)).expect("collide");
     assert!(matches!(store.open(&meta), Err(TraceError::MetaMismatch { field: "program_hash" })));
     let reader = store.open_or_capture(&new_program, &meta).expect("fallback");
     assert_eq!(reader.meta().program_hash, meta.program_hash);
@@ -432,4 +436,73 @@ fn concurrent_store_startups_tolerate_each_others_sweep() {
             .collect();
         assert!(leftovers.is_empty(), "stale temp files must be swept: {leftovers:?}");
     }
+}
+
+#[test]
+fn programs_of_one_workload_at_two_scales_keep_separate_traces() {
+    // A scaled and an unscaled sweep of one workload and budget used to
+    // share one file name: each rejected, quarantined and re-captured
+    // the other's trace on every alternation.
+    let dir = TempDir::new("two-scales");
+    let store = TraceStore::new(dir.path()).expect("store");
+    let budget = 1 << 20;
+    let programs = [looping_program(50), looping_program(100)];
+    for program in &programs {
+        store.capture(program, &meta_for(program, budget)).expect("capture");
+    }
+    for program in &programs {
+        let reader = store.open_or_capture(program, &meta_for(program, budget)).expect("hit");
+        assert_eq!(replayed_stream(reader), emulated_stream(program, budget));
+    }
+    let counters = store.counters();
+    assert_eq!((counters.hits(), counters.fallbacks(), counters.quarantined()), (2, 0, 0));
+    assert!(!store.quarantine_dir().exists());
+}
+
+#[test]
+fn concurrent_captures_of_one_trace_publish_one_complete_file() {
+    let _guard = chaos_guard();
+    let dir = TempDir::new("concurrent-capture");
+    let store = TraceStore::new(dir.path()).expect("store");
+    let program = looping_program(2000);
+    let meta = meta_for(&program, 1 << 20);
+    let temps = || -> usize {
+        let entries = std::fs::read_dir(dir.path()).expect("read dir").filter_map(Result::ok);
+        entries.filter(|e| e.file_name().to_string_lossy().contains(".tmp.")).count()
+    };
+    // Slow every frame write of the capture threads, so their temp
+    // files stay in flight while another store opens the directory.
+    rvp_fail::configure("seed=1;trace.writer.frame=delay5,thread=concurrent-capture")
+        .expect("valid spec");
+    let reopened_in_flight = std::thread::scope(|scope| {
+        let captures: Vec<_> = (0..4)
+            .map(|i| {
+                std::thread::Builder::new()
+                    .name(format!("concurrent-capture-{i}"))
+                    .spawn_scoped(scope, || store.capture(&program, &meta))
+                    .expect("spawn")
+            })
+            .collect();
+        // Opening a store sweeps stale temp files, but must spare the
+        // temps of this process: their captures are in flight.
+        while temps() == 0 {
+            std::thread::yield_now();
+        }
+        TraceStore::new(dir.path()).expect("open during captures");
+        let in_flight = temps();
+        for capture in captures {
+            capture.join().expect("no panic").expect("every capture succeeds");
+        }
+        in_flight
+    });
+    rvp_fail::disable();
+    assert!(reopened_in_flight > 0, "the reopen raced no capture");
+    let reader = store.open(&meta).expect("the published trace decodes");
+    assert_eq!(replayed_stream(reader), emulated_stream(&program, 1 << 20));
+    let names: Vec<String> = std::fs::read_dir(dir.path())
+        .expect("read dir")
+        .filter_map(Result::ok)
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(names, vec![store.path_for(&meta).file_name().unwrap().to_string_lossy()]);
 }
