@@ -1,12 +1,13 @@
 //! `rvp-grid`: the full (workload × scheme) grid, in parallel and
 //! crash-safe.
 //!
-//! Runs every paper scheme over every workload on a work-stealing pool
-//! of OS threads, streaming one JSON file per cell to the output
-//! directory as it completes, then prints a throughput summary. Cells
-//! that hand the timing core the same input (an `srvp_*` marking no
-//! load and `no_predict`, say) share one simulation through the
-//! runner's run memo; the summary reports `simulations: N for M cells`.
+//! Runs every paper scheme over every workload on the shared
+//! longest-job-first executor ([`rvp_bench::executor`]), streaming one
+//! JSON file per cell to the output directory as it completes, then
+//! prints a throughput summary. Cells that hand the timing core the
+//! same input (an `srvp_*` marking no load and `no_predict`, say) share
+//! one simulation through the runner's run memo; the summary reports
+//! `simulations: N for M cells`.
 //!
 //! ```text
 //! rvp-grid [OUT_DIR] [--workloads A,B,...] [--schemes A,B,...] \
@@ -63,13 +64,13 @@
 //! ## Cost-model scheduling
 //!
 //! Every run records per-cell wall times into `OUT_DIR/grid_summary.json`
-//! (under `"cell_seconds"`), and the next run schedules the grid
-//! longest-job-first from those timings: on a work-stealing pool the
+//! (under `"cell_seconds"`), and the next run seeds the executor's cost
+//! model with them, so the grid runs longest-job-first: on a pool the
 //! makespan is set by whatever is still running at the end, so the
 //! expensive cells must start first. Cells with no recorded timing are
-//! estimated from their instruction budget at the observed
-//! seconds-per-instruction rate (or run first when no history exists at
-//! all, which degrades to the stable grid order).
+//! estimated from their instruction budget at the mean observed
+//! seconds-per-instruction rate (and with no history at all every
+//! estimate is equal, which keeps the grid order).
 //!
 //! The usual budget overrides (`RVP_MEASURE_INSTS`,
 //! `RVP_PROFILE_INSTS`) apply, `RVP_TRACE_DIR` enables the
@@ -79,22 +80,22 @@
 //! Failures and cache counters are also emitted as structured events
 //! through the `RVP_LOG` facade.
 
-use std::collections::HashMap;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use rvp_bench::executor::{CostModel, Executor};
 use rvp_bench::grid::{
     grid_config_fnv, load_manifest, run_one_cell, verify_manifest_cell, write_atomic, write_cell,
-    CellOptions, CellSuccess, GridCell, Manifest, ManifestCell, PoisonedCell,
+    CellOptions, CellRun, CellSuccess, GridCell, Manifest, ManifestCell, PoisonedCell,
 };
 use rvp_bench::runner_from_env;
 use rvp_core::{
-    all_workloads, by_name_or_err, fatal, log, paper_schemes, Json, ObsConfig, Runner, SampleSpec,
-    SchemeSpec, SourceMode, ToJson, Workload, EXIT_CONFIG, EXIT_IO, EXIT_POISONED, EXIT_USAGE,
+    all_workloads, by_name_or_err, fatal, log, paper_schemes, CancelToken, Json, ObsConfig,
+    SampleSpec, SchemeSpec, SourceMode, ToJson, Workload, EXIT_CONFIG, EXIT_IO, EXIT_POISONED,
+    EXIT_USAGE,
 };
 
 fn worker_count(cells: usize) -> usize {
@@ -121,50 +122,23 @@ fn usage() -> ExitCode {
 /// read back by the next run's longest-job-first schedule.
 const SUMMARY_FILE: &str = "grid_summary.json";
 
-/// Per-cell wall times from a previous run's summary, if any.
-fn prior_timings(out_dir: &Path) -> HashMap<String, f64> {
-    let Ok(text) = std::fs::read_to_string(out_dir.join(SUMMARY_FILE)) else {
-        return HashMap::new();
-    };
+/// Seeds `costs` with the per-cell wall times of a previous run's
+/// summary, if any, each measured at `budget` instructions.
+fn seed_costs(costs: &CostModel, out_dir: &Path, budget: u64) {
+    let Ok(text) = std::fs::read_to_string(out_dir.join(SUMMARY_FILE)) else { return };
     let Ok(json) = Json::parse(&text) else {
         log::warn(
             "rvp-grid",
             "unreadable prior grid summary; scheduling from instruction budgets",
             &[("path", out_dir.join(SUMMARY_FILE).display().to_string().into())],
         );
-        return HashMap::new();
+        return;
     };
-    json.get("cell_seconds")
-        .and_then(Json::as_obj)
-        .map(|pairs| {
-            pairs
-                .iter()
-                .filter_map(|(label, v)| v.as_f64().map(|secs| (label.clone(), secs)))
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
-/// Orders `cells` longest-estimated-first. Known cells carry their
-/// measured wall time; unknown ones are estimated from the instruction
-/// budget at the mean observed seconds-per-instruction (when nothing is
-/// known the estimates are uniform and the stable sort preserves the
-/// nominal grid order).
-fn schedule(cells: &mut Vec<GridCell>, prior: &HashMap<String, f64>, budget: u64) {
-    let known: Vec<f64> = cells.iter().filter_map(|c| prior.get(&c.label()).copied()).collect();
-    let secs_per_inst = match known.len() {
-        0 => 1.0 / budget.max(1) as f64,
-        n => known.iter().sum::<f64>() / n as f64 / budget.max(1) as f64,
-    };
-    let mut keyed: Vec<(f64, GridCell)> = cells
-        .drain(..)
-        .map(|c| {
-            let est = prior.get(&c.label()).copied().unwrap_or(budget as f64 * secs_per_inst);
-            (est, c)
-        })
-        .collect();
-    keyed.sort_by(|a, b| b.0.total_cmp(&a.0));
-    *cells = keyed.into_iter().map(|(_, c)| c).collect();
+    for (label, secs) in json.get("cell_seconds").and_then(Json::as_obj).into_iter().flatten() {
+        if let Some(secs) = secs.as_f64() {
+            costs.observe(label, budget, secs);
+        }
+    }
 }
 
 fn main() -> ExitCode {
@@ -358,12 +332,15 @@ fn main() -> ExitCode {
         }
     };
 
-    let prior = prior_timings(&out_dir);
-    let known = cells.iter().filter(|c| prior.contains_key(&c.label())).count();
-    {
-        let _span = rvp_core::span!("grid.schedule", { cells: cells.len(), known });
-        schedule(&mut cells, &prior, runner.measure_insts);
-    }
+    let budget = runner.measure_insts;
+    let costs = CostModel::default();
+    let known = {
+        let mut span = rvp_core::span!("grid.schedule", { cells: cells.len() });
+        seed_costs(&costs, &out_dir, budget);
+        let known = cells.iter().filter(|c| costs.knows(&c.label())).count();
+        span.add_field("known", known);
+        known
+    };
     let workers = worker_count(cells.len());
 
     println!(
@@ -400,6 +377,23 @@ fn main() -> ExitCode {
     );
 
     let start = Instant::now();
+    let runner = Arc::new(runner);
+    let successes: Arc<Mutex<Vec<CellSuccess>>> = Arc::default();
+    let poisoned: Arc<Mutex<Vec<PoisonedCell>>> = Arc::default();
+    // Prewarm tasks report nothing; a cell reports its run, which the
+    // completion makes durable inside its still-open `grid.cell.run` span.
+    let exec = {
+        let (out_dir, successes, poisoned) =
+            (out_dir.clone(), Arc::clone(&successes), Arc::clone(&poisoned));
+        let on_done = move |run: Option<Result<CellRun, _>>, _: Vec<()>| {
+            let Some(run) = run else { return };
+            match run.and_then(|run| record_cell(&out_dir, &manifest, run, opts)) {
+                Ok(done) => successes.lock().expect("successes lock").push(done),
+                Err(p) => poisoned.lock().expect("poisoned lock").push(p),
+            }
+        };
+        Executor::new("grid-worker", workers, costs, on_done)
+    };
 
     // Pay every workload's trace capture — or, when sampling, its
     // sampling plan, windows and train profile — up front, in parallel,
@@ -428,53 +422,44 @@ fn main() -> ExitCode {
             runner.sampling.is_some()
                 && cells.iter().any(|c| c.workload.name() == wl.name() && c.scheme.needs_profile())
         });
-        let tasks: Vec<(&Workload, &str)> = pending
-            .iter()
-            .map(|wl| (*wl, "stream"))
-            .chain(profiles.map(|wl| (*wl, "profile")))
-            .collect();
-        let next_task = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers.min(tasks.len()) {
-                scope.spawn(|| loop {
-                    let i = next_task.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(wl, kind)) = tasks.get(i) else { return };
-                    let _span = rvp_core::span!("grid.prewarm", { workload: wl.name(), kind });
-                    let prewarmed = match kind {
-                        "profile" => runner.prewarm_profile(wl),
-                        _ => runner.prewarm_trace(wl),
-                    };
-                    if let Err(e) = prewarmed {
-                        log::warn(
-                            "rvp-grid",
-                            "prewarm failed",
-                            &[("workload", wl.name().into()), ("error", e.to_string().into())],
-                        );
-                    }
-                });
-            }
-        });
+        let tasks =
+            pending.iter().map(|wl| (wl, "stream")).chain(profiles.map(|wl| (wl, "profile")));
+        exec.submit(tasks.enumerate().map(|(i, (wl, kind))| {
+            let (runner, wl) = (Arc::clone(&runner), (*wl).clone());
+            (i as u64, 1.0, (), move |_: &CancelToken| {
+                let _span = rvp_core::span!("grid.prewarm", { workload: wl.name(), kind });
+                let prewarmed = match kind {
+                    "profile" => runner.prewarm_profile(&wl),
+                    _ => runner.prewarm_trace(&wl),
+                };
+                if let Err(e) = prewarmed {
+                    log::warn(
+                        "rvp-grid",
+                        "prewarm failed",
+                        &[("workload", wl.name().into()), ("error", e.to_string().into())],
+                    );
+                }
+                None
+            })
+        }));
+        exec.wait_idle();
         println!(
             "{what} prewarmed: {} workloads in {:.2}s",
             pending.len(),
             start.elapsed().as_secs_f64()
         );
     }
-    let next = AtomicUsize::new(0);
-    let successes: Mutex<Vec<CellSuccess>> = Mutex::new(Vec::new());
-    let poisoned: Mutex<Vec<PoisonedCell>> = Mutex::new(Vec::new());
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                run_cells(&runner, &cells, opts, &next, &out_dir, &manifest, &successes, &poisoned)
-            });
-        }
-    });
+    exec.submit(cells.into_iter().enumerate().map(|(i, cell)| {
+        let runner = Arc::clone(&runner);
+        let cost = exec.costs().estimate(&cell.label(), budget);
+        (i as u64, cost, (), move |_: &CancelToken| Some(run_one_cell(&runner, &cell, opts)))
+    }));
+    exec.wait_idle();
+    exec.shutdown();
 
     let elapsed = start.elapsed();
-    let mut successes = successes.into_inner().expect("successes lock");
-    let mut poisoned = poisoned.into_inner().expect("poisoned lock");
+    let mut successes = std::mem::take(&mut *successes.lock().expect("successes lock"));
+    let mut poisoned = std::mem::take(&mut *poisoned.lock().expect("poisoned lock"));
     // The cells restored from the manifest count as completed work.
     successes.extend(kept.iter().map(|c| CellSuccess {
         label: c.label.clone(),
@@ -645,52 +630,41 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_cells(
-    runner: &Runner,
-    cells: &[GridCell],
-    opts: CellOptions,
-    next: &AtomicUsize,
+/// Makes one simulated cell durable: its JSON file, then its manifest
+/// line.
+fn record_cell(
     out_dir: &Path,
     manifest: &Manifest,
-    successes: &Mutex<Vec<CellSuccess>>,
-    poisoned: &Mutex<Vec<PoisonedCell>>,
-) {
-    loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        let Some(cell) = cells.get(i) else { return };
-        match run_one_cell(runner, cell, opts).and_then(|run| write_cell(out_dir, run, opts)) {
-            Ok(done) => {
-                if let Some(result) = &done.result {
-                    println!(
-                        "  {:<28} ipc {:.3}  coverage {:5.1}%  accuracy {:5.1}%",
-                        done.label,
-                        result.stats.ipc(),
-                        100.0 * result.stats.coverage(),
-                        100.0 * result.stats.accuracy()
-                    );
-                }
-                let journaled = ManifestCell {
-                    label: done.label.clone(),
-                    file: done.file.clone(),
-                    file_fnv: done.file_fnv,
-                    committed: done.committed,
-                    seconds: done.seconds,
-                    retries: done.retries,
-                    source: done.source.to_owned(),
-                };
-                if let Err(e) = manifest.append(&journaled) {
-                    // The cell JSON is durable; worst case a resume
-                    // re-runs this one cell.
-                    log::warn(
-                        "rvp-grid",
-                        "cannot journal cell",
-                        &[("cell", done.label.as_str().into()), ("error", e.to_string().into())],
-                    );
-                }
-                successes.lock().expect("successes lock").push(done);
-            }
-            Err(p) => poisoned.lock().expect("poisoned lock").push(p),
-        }
+    run: CellRun,
+    opts: CellOptions,
+) -> Result<CellSuccess, PoisonedCell> {
+    let done = write_cell(out_dir, run, opts)?;
+    if let Some(result) = &done.result {
+        println!(
+            "  {:<28} ipc {:.3}  coverage {:5.1}%  accuracy {:5.1}%",
+            done.label,
+            result.stats.ipc(),
+            100.0 * result.stats.coverage(),
+            100.0 * result.stats.accuracy()
+        );
     }
+    let journaled = ManifestCell {
+        label: done.label.clone(),
+        file: done.file.clone(),
+        file_fnv: done.file_fnv,
+        committed: done.committed,
+        seconds: done.seconds,
+        retries: done.retries,
+        source: done.source.to_owned(),
+    };
+    if let Err(e) = manifest.append(&journaled) {
+        // The cell JSON is durable; worst case a resume re-runs this
+        // one cell.
+        log::warn(
+            "rvp-grid",
+            "cannot journal cell",
+            &[("cell", done.label.as_str().into()), ("error", e.to_string().into())],
+        );
+    }
+    Ok(done)
 }

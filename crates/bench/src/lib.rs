@@ -1,5 +1,6 @@
 //! Shared driver code for the figure/table regeneration binaries and the
-//! `rvp-grid` sweep.
+//! `rvp-grid` sweep, and the executor both `rvp-grid` and `rvp-serve`
+//! run cells on.
 //!
 //! Every binary prints the same rows/series as the corresponding figure
 //! or table in the paper. Absolute numbers differ (the substrate is a
@@ -13,6 +14,7 @@
 //! counts, and `RVP_SAMPLE` (`auto` or `interval=N,warmup=N,...`)
 //! switches measurement to sampled simulation.
 
+pub mod executor;
 pub mod grid;
 
 use std::path::PathBuf;

@@ -1,5 +1,5 @@
-//! The daemon: listener, handler threads, durable job queue, sim
-//! worker pool and the HTTP API.
+//! The daemon: listener, handler threads, durable job queue and the
+//! HTTP API, running its cells on the shared executor.
 //!
 //! # Request lifecycle
 //!
@@ -9,7 +9,7 @@
 //!   per-cell cache lookup     -> hits answered without simulating
 //!   admission check           -> 429 + Retry-After when the queue is full
 //!   journal append (fsync)    -> 503 if the job cannot be made durable
-//!   schedule misses           -> longest-estimated-cell-first, single-flight
+//!   submit misses             -> executor: longest-estimated-cell-first, single-flight
 //!   wait=true  -> block until done, 200 with per-cell results
 //!   wait=false -> 202 {"job": id}, poll GET /jobs/<id>
 //! ```
@@ -19,15 +19,16 @@
 //! (bit-identical bytes), and only the interrupted remainder
 //! re-simulates.
 
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
 
-use rvp_bench::grid::{run_one_cell, CellOptions, GridCell};
+use rvp_bench::executor::{CostModel, Executor};
+use rvp_bench::grid::{run_one_cell, CellOptions, CellRun, GridCell, PoisonedCell};
 use rvp_core::Runner;
 use rvp_json::{Json, ToJson};
 use rvp_obs::{log, span, CancelToken, Clock, Metric, MetricsRegistry, ServeMetrics};
@@ -249,61 +250,17 @@ impl Job {
     }
 }
 
-/// One schedulable unit: a (workload × scheme × config) cell.
-struct CellTask {
-    /// Estimated cost in arbitrary-but-consistent microseconds; the
-    /// queue is a max-heap on this, so the longest cells start first
-    /// and the sweep's wall clock is not hostage to a long tail.
-    cost_us: u64,
-    /// Admission order; earlier wins ties so equal-cost cells are FIFO.
-    seq: u64,
+/// A job's interest in one cell: the job and the cell's slot in it.
+type Subscriber = (Arc<Job>, usize);
+
+/// What a worker hands [`complete`]: one cell's run, still inside the
+/// `serve.cell.exec` span.
+struct Executed {
     fingerprint: u64,
-    /// Tracer timestamp at admission; the worker that dequeues this
-    /// task back-fills a `serve.queue.wait` span from it.
-    enqueued_us: u64,
-    /// The admitting request's span id, so the worker-side exec span
-    /// parents onto the request that caused it (cross-thread).
-    parent_span: u64,
-    /// The admitting job's id (correlation with `RVP_LOG` lines).
-    job_id: u64,
-    /// The task's cancel token, a child of the daemon's root; also
-    /// installed on `runner` so the sim loop polls it. Fired by job
-    /// abort, deadline expiry or drain.
-    cancel: CancelToken,
-    cell: GridCell,
-    runner: Runner,
-}
-
-impl PartialEq for CellTask {
-    fn eq(&self, other: &CellTask) -> bool {
-        self.cost_us == other.cost_us && self.seq == other.seq
-    }
-}
-impl Eq for CellTask {}
-impl PartialOrd for CellTask {
-    fn partial_cmp(&self, other: &CellTask) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for CellTask {
-    fn cmp(&self, other: &CellTask) -> std::cmp::Ordering {
-        self.cost_us.cmp(&other.cost_us).then(other.seq.cmp(&self.seq))
-    }
-}
-
-#[derive(Default)]
-struct Sched {
-    queue: BinaryHeap<CellTask>,
-    /// Fingerprints queued or being simulated right now (single-flight:
-    /// concurrent identical requests share one simulation).
-    inflight: HashSet<u64>,
-    /// Cells waiting on an in-flight fingerprint: `(job, cell index)`.
-    waiters: HashMap<u64, Vec<(Arc<Job>, usize)>>,
-    /// Cancel token per in-flight fingerprint. A job abort only fires
-    /// a task token once the fingerprint's waiter list is empty, so
-    /// cancelling one job never squashes a cell another job shares.
-    tokens: HashMap<u64, CancelToken>,
-    seq: u64,
+    /// The cell's committed-instruction budget, for the cost model.
+    budget: u64,
+    run: Result<CellRun, PoisonedCell>,
+    exec_span: span::SpanGuard,
 }
 
 struct Inner {
@@ -311,8 +268,9 @@ struct Inner {
     base: Runner,
     cache: ResultCache,
     journal: JobJournal,
-    /// Parent of every job and task token: drain fires this one token.
-    root: CancelToken,
+    /// Runs the cache misses. Its root token is the parent of every job
+    /// and cell token: drain fires that one token.
+    exec: Executor<Executed, Subscriber>,
     metrics: Arc<ServeMetrics>,
     /// Every counter family in the process, unified for `/metrics`.
     registry: MetricsRegistry,
@@ -322,10 +280,6 @@ struct Inner {
     ready: Arc<AtomicBool>,
     jobs: Mutex<HashMap<u64, Arc<Job>>>,
     next_id: AtomicU64,
-    sched: Mutex<Sched>,
-    queue_cv: Condvar,
-    /// Learned per-label cell cost (seconds), EWMA over completions.
-    costs: Mutex<HashMap<String, f64>>,
     stop: AtomicBool,
     /// Set by SIGTERM / `POST /shutdown`: new sweeps get 503, workers
     /// finish or squash, then the daemon stops.
@@ -358,13 +312,12 @@ enum SubmitError {
 }
 
 /// A running daemon; dropping the handle does *not* stop it — call
-/// [`ServerHandle::shutdown`], or keep it alive forever via
+/// [`ServerHandle::drain`], or keep it alive forever via
 /// [`ServerHandle::join`].
 pub struct ServerHandle {
     addr: SocketAddr,
     inner: Arc<Inner>,
     accept: std::thread::JoinHandle<()>,
-    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -378,31 +331,16 @@ impl ServerHandle {
         Arc::clone(&self.inner.metrics)
     }
 
-    /// Blocks forever serving requests (the binary's main thread).
+    /// Blocks serving requests until a drain stops the daemon (the
+    /// binary's main thread), then joins the accept thread and the
+    /// executor's workers.
     pub fn join(self) {
         let _ = self.accept.join();
-        for w in self.workers {
-            let _ = w.join();
-        }
+        self.inner.exec.shutdown();
     }
 
-    /// Graceful-enough stop for tests: stop accepting, wake the
-    /// workers, join them. In-flight handler threads finish their
-    /// current response on their own; queued-but-unstarted cells stay
-    /// journaled and resume on the next start.
-    pub fn shutdown(self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        self.inner.queue_cv.notify_all();
-        let _ = self.accept.join();
-        for w in self.workers {
-            let _ = w.join();
-        }
-    }
-
-    /// Whether a stop (drain completion or [`ServerHandle::shutdown`])
-    /// has been requested; the binary's main loop polls this.
+    /// Whether a stop (a finished drain) has been requested; the
+    /// binary's main loop polls this.
     pub fn stopping(&self) -> bool {
         self.inner.stop.load(Ordering::SeqCst)
     }
@@ -414,15 +352,12 @@ impl ServerHandle {
     /// Idempotent with a concurrent `POST /shutdown`.
     pub fn drain(self) {
         drain(&self.inner);
-        let _ = self.accept.join();
-        for w in self.workers {
-            let _ = w.join();
-        }
+        self.join();
     }
 }
 
 /// Boots the daemon: opens state, replays the journal, binds the
-/// listener, and spawns the accept thread and the worker pool.
+/// listener, and spawns the accept thread and the executor's workers.
 pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
     std::fs::create_dir_all(&cfg.state_dir)?;
     let cache = ResultCache::open_with_budget(&cfg.state_dir, cfg.cache_budget_bytes)?;
@@ -450,21 +385,26 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
     // `GET /trace` is only useful when there is something in it.
     span::arm(span::DEFAULT_RING_CAPACITY);
 
-    let inner = Arc::new(Inner {
+    let workers = cfg.workers;
+    let inner = Arc::new_cyclic(|weak: &Weak<Inner>| Inner {
+        exec: {
+            let inner = weak.clone();
+            Executor::new("serve-worker", workers, CostModel::default(), move |executed, subs| {
+                if let Some(inner) = inner.upgrade() {
+                    complete(&inner, executed, subs);
+                }
+            })
+        },
         cfg,
         base,
         cache,
         journal,
-        root: CancelToken::new(),
         metrics: Arc::new(ServeMetrics::new()),
         registry: MetricsRegistry::new(),
         clock: Clock::monotonic(),
         ready: Arc::new(AtomicBool::new(false)),
         jobs: Mutex::new(HashMap::new()),
         next_id: AtomicU64::new(next_id),
-        sched: Mutex::new(Sched::default()),
-        queue_cv: Condvar::new(),
-        costs: Mutex::new(HashMap::new()),
         stop: AtomicBool::new(false),
         draining: AtomicBool::new(false),
         addr,
@@ -511,16 +451,6 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
             .expect("spawn journal replay");
     }
 
-    let workers = (0..inner.cfg.workers)
-        .map(|i| {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name(format!("serve-worker-{i}"))
-                .spawn(move || worker_loop(&inner))
-                .expect("spawn worker")
-        })
-        .collect();
-
     let accept = {
         let inner = Arc::clone(&inner);
         std::thread::Builder::new()
@@ -529,7 +459,7 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
             .expect("spawn accept loop")
     };
 
-    Ok(ServerHandle { addr, inner, accept, workers })
+    Ok(ServerHandle { addr, inner, accept })
 }
 
 /// Wires every counter family in the process into the unified registry:
@@ -873,10 +803,10 @@ fn client_gone(stream: &TcpStream) -> bool {
 }
 
 /// Admits one sweep: cache lookups, admission control, durable journal
-/// append, scheduling. `resume_id` marks a journal replay — the job
-/// keeps its id, skips re-journaling (the compacted journal already
-/// has it) and treats cache-read trouble as a miss instead of refusing
-/// the job it must not lose.
+/// append, submission of the misses to the executor. `resume_id` marks
+/// a journal replay — the job keeps its id, skips re-journaling (the
+/// compacted journal already has it) and treats cache-read trouble as a
+/// miss instead of refusing the job it must not lose.
 fn submit(
     inner: &Arc<Inner>,
     spec: SweepSpec,
@@ -895,9 +825,9 @@ fn submit(
     let admission_span = span!("serve.admission", { cells: spec.cells().len() });
     let cells = spec.cells();
     let mut slots = Vec::with_capacity(cells.len());
-    let mut misses: Vec<usize> = Vec::new();
-    for (idx, cell) in cells.iter().enumerate() {
-        let fingerprint = spec.cell_fingerprint(&inner.base, cell);
+    let mut misses: Vec<(usize, u64, GridCell)> = Vec::new();
+    for (idx, cell) in cells.into_iter().enumerate() {
+        let fingerprint = spec.cell_fingerprint(&inner.base, &cell);
         let outcome = match inner.cache.get(fingerprint) {
             Ok(Some(text)) => {
                 inner.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -914,11 +844,12 @@ fn submit(
             }
             Err(e) => return Err(SubmitError::Cache(e)),
         };
-        if outcome.is_none() {
-            inner.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-            misses.push(idx);
-        }
+        let miss = outcome.is_none();
         slots.push(CellSlot { label: cell.label(), fingerprint, outcome });
+        if miss {
+            inner.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
+            misses.push((idx, fingerprint, cell));
+        }
     }
 
     if !misses.is_empty() {
@@ -950,7 +881,7 @@ fn submit(
         inner.journal.append_job(id, record.get("spec").unwrap()).map_err(SubmitError::Journal)?;
     }
 
-    let job = Arc::new(Job::new(id, slots, inner.root.child()));
+    let job = Arc::new(Job::new(id, slots, inner.exec.root().child()));
     inner.jobs.lock().unwrap().insert(id, Arc::clone(&job));
     inner.metrics.jobs_submitted.fetch_add(1, Ordering::Relaxed);
 
@@ -964,138 +895,114 @@ fn submit(
     }
 
     let runner = spec.runner_for(&inner.base);
+    let tasks: Vec<_> = misses
+        .into_iter()
+        .map(|(idx, fingerprint, cell)| {
+            let cost = inner.exec.costs().estimate(&cell.label(), runner.measure_insts);
+            let work = cell_work(inner, cell, runner.clone(), fingerprint, request_span, id);
+            (fingerprint, cost, (Arc::clone(&job), idx), work)
+        })
+        .collect();
     let mut enqueued = 0u64;
-    {
-        let mut sched = inner.sched.lock().unwrap();
-        for idx in misses {
-            let fingerprint = {
-                let state = job.state.lock().unwrap();
-                state.cells[idx].fingerprint
-            };
-            sched.waiters.entry(fingerprint).or_default().push((Arc::clone(&job), idx));
-            if !sched.inflight.insert(fingerprint) {
-                // Single-flight: ride the simulation already queued.
-                // Deadlines only tighten, so a shared cell squashes at
-                // its earliest sharer's deadline.
-                if let (Some(d), Some(token)) = (deadline, sched.tokens.get(&fingerprint)) {
-                    token.set_deadline(d);
-                }
-                continue;
-            }
-            let token = inner.root.child();
-            if let Some(d) = deadline {
-                token.set_deadline(d);
-            }
-            sched.tokens.insert(fingerprint, token.clone());
-            let cell = GridCell {
-                workload: cells[idx].workload.clone(),
-                scheme: cells[idx].scheme.clone(),
-            };
-            let cost_us = estimate_us(inner, &cell, &runner);
-            sched.seq += 1;
-            let seq = sched.seq;
-            let mut cell_runner = runner.clone();
-            cell_runner.cancel = Some(token.clone());
-            sched.queue.push(CellTask {
-                cost_us,
-                seq,
-                fingerprint,
-                enqueued_us: span::now_us(),
-                parent_span: request_span,
-                job_id: id,
-                cancel: token,
-                cell,
-                runner: cell_runner,
-            });
-            enqueued += 1;
+    for (token, fresh) in inner.exec.submit(tasks) {
+        // A shared cell keeps one token; deadlines only tighten, so it
+        // squashes at its earliest sharer's deadline.
+        if let Some(d) = deadline {
+            token.set_deadline(d);
         }
+        enqueued += u64::from(fresh);
     }
     if enqueued > 0 {
         inner.metrics.queue_enter(enqueued);
-        inner.queue_cv.notify_all();
     }
     Ok(job)
 }
 
-/// Estimated cell cost in scheduler microseconds: the learned per-label
-/// EWMA when one exists, otherwise proportional to the instruction
-/// budgets (the same heuristic the grid scheduler starts from).
-fn estimate_us(inner: &Inner, cell: &GridCell, runner: &Runner) -> u64 {
-    let label = cell.label();
-    if let Some(seconds) = inner.costs.lock().unwrap().get(&label) {
-        return (seconds * 1e6) as u64;
-    }
-    (runner.measure_insts + runner.profile_insts) / 5
-}
-
-fn worker_loop(inner: &Arc<Inner>) {
-    loop {
-        let task = {
-            let mut sched = inner.sched.lock().unwrap();
-            loop {
-                if inner.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                if let Some(task) = sched.queue.pop() {
-                    break task;
-                }
-                sched = inner.queue_cv.wait(sched).unwrap();
-            }
-        };
+/// The work one cache miss runs on an executor worker: the cell under
+/// the grid's full containment stack (panic catching, transient
+/// retries, source-degradation ladder), polling the flight's token, with
+/// its queue wait and execution traced back to the admitting request.
+/// Failures come back as data, never as a dead worker.
+fn cell_work(
+    inner: &Inner,
+    cell: GridCell,
+    mut runner: Runner,
+    fingerprint: u64,
+    parent_span: u64,
+    job_id: u64,
+) -> impl FnOnce(&CancelToken) -> Executed + Send + 'static {
+    let metrics = Arc::clone(&inner.metrics);
+    let opts = CellOptions { retries: inner.cfg.retries, timeout_secs: 0 };
+    let enqueued_us = span::now_us();
+    move |token| {
         let dequeued_us = span::now_us();
-        inner.metrics.observe_queue_delay(dequeued_us.saturating_sub(task.enqueued_us));
+        metrics.observe_queue_delay(dequeued_us.saturating_sub(enqueued_us));
+        let fields = || vec![("cell".into(), cell.label().into()), ("job".into(), job_id.into())];
         if span::armed() {
             // The time this cell sat in the queue, attributed back to
             // the request (or replay) that admitted it.
-            span::record(
-                "serve.queue.wait",
-                task.parent_span,
-                task.enqueued_us,
-                dequeued_us,
-                vec![("cell".into(), task.cell.label().into()), ("job".into(), task.job_id.into())],
-            );
+            span::record("serve.queue.wait", parent_span, enqueued_us, dequeued_us, fields());
         }
         let exec_start_us = span::now_us();
-        let (outcome, cancelled) = {
-            let _exec = span::child_of(task.parent_span, "serve.cell.exec", || {
-                vec![("cell".into(), task.cell.label().into()), ("job".into(), task.job_id.into())]
-            });
-            execute(inner, &task)
-        };
-        let waiters = {
-            let mut sched = inner.sched.lock().unwrap();
-            sched.inflight.remove(&task.fingerprint);
-            sched.tokens.remove(&task.fingerprint);
-            sched.waiters.remove(&task.fingerprint).unwrap_or_default()
-        };
-        if cancelled {
-            inner.metrics.cells_cancelled.fetch_add(1, Ordering::Relaxed);
+        let exec_span = span::child_of(parent_span, "serve.cell.exec", fields);
+        runner.cancel = Some(token.clone());
+        let run = run_one_cell(&runner, &cell, opts);
+        if matches!(&run, Err(poisoned) if poisoned.cancelled) {
+            metrics.cells_cancelled.fetch_add(1, Ordering::Relaxed);
             if span::armed() {
-                span::record(
-                    "cancel.squash",
-                    task.parent_span,
-                    exec_start_us,
-                    span::now_us(),
-                    vec![
-                        ("cell".into(), task.cell.label().into()),
-                        ("job".into(), task.job_id.into()),
-                        (
-                            "reason".into(),
-                            task.cancel.detail().unwrap_or_else(|| "cancelled".to_owned()).into(),
-                        ),
+                let reason = token.detail().unwrap_or_else(|| "cancelled".to_owned());
+                let mut fields = fields();
+                fields.push(("reason".into(), reason.into()));
+                span::record("cancel.squash", parent_span, exec_start_us, span::now_us(), fields);
+            }
+        }
+        Executed { fingerprint, budget: runner.measure_insts, run, exec_span }
+    }
+}
+
+/// A finished cell, on the worker that ran it: caches a computed
+/// result, fills the slots of the jobs still subscribed to it and
+/// journals each job that completes.
+fn complete(inner: &Inner, executed: Executed, subscribers: Vec<Subscriber>) {
+    let Executed { fingerprint, budget, run, exec_span } = executed;
+    let squashed = matches!(&run, Err(poisoned) if poisoned.cancelled);
+    let outcome = match run {
+        Ok(run) => {
+            let seconds = run.started.elapsed().as_secs_f64();
+            inner.exec.costs().observe(&run.label, budget, seconds);
+            inner.metrics.cells_computed.fetch_add(1, Ordering::Relaxed);
+            let text = format!("{}\n", run.result.to_json());
+            if let Err(e) = inner.cache.put(fingerprint, &text) {
+                log::warn(
+                    "rvp-serve",
+                    "cell computed but cache write failed; serving from memory only",
+                    &[
+                        ("fingerprint", format!("{fingerprint:016x}").into()),
+                        ("error", e.to_string().into()),
                     ],
                 );
             }
+            CellOutcome::Done { text: text.into(), cached: false }
         }
-        if cancelled && inner.draining.load(Ordering::SeqCst) {
-            // Drain squash: the cell's jobs stay *pending* — no fill,
-            // no done record — so the journal resumes them, and their
-            // finished cells re-serve from the cache, on the next
-            // start. Nothing admitted is ever lost.
-            inner.metrics.queue_exit(1);
-            continue;
+        Err(poisoned) => {
+            if !squashed {
+                inner.metrics.cells_failed.fetch_add(1, Ordering::Relaxed);
+            }
+            CellOutcome::Failed {
+                error: format!(
+                    "cell {} poisoned at stage {} after {} attempts: {}",
+                    poisoned.label, poisoned.stage, poisoned.attempts, poisoned.error
+                ),
+            }
         }
-        for (job, idx) in waiters {
+    };
+    drop(exec_span);
+    // Drain squash: the cell's jobs stay *pending* — no fill, no done
+    // record — so the journal resumes them, and their finished cells
+    // re-serve from the cache, on the next start. Nothing admitted is
+    // ever lost.
+    if !(squashed && inner.draining.load(Ordering::SeqCst)) {
+        for (job, idx) in subscribers {
             if job.fill(idx, outcome.clone()) {
                 // Durable before observable: the done record lands
                 // before any `wait=true` handler can send its 200.
@@ -1104,59 +1011,15 @@ fn worker_loop(inner: &Arc<Inner>) {
                 job.notify_done();
             }
         }
-        inner.metrics.queue_exit(1);
     }
+    inner.metrics.queue_exit(1);
 }
 
-/// Runs one cell with the grid's full containment stack (panic
-/// catching, transient retries, source-degradation ladder) and caches
-/// the result. Failures come back as data, never as a dead worker; the
-/// second return value is whether the cell was cooperatively squashed
-/// (the task token fired) rather than genuinely failing.
-fn execute(inner: &Arc<Inner>, task: &CellTask) -> (CellOutcome, bool) {
-    let opts = CellOptions { retries: inner.cfg.retries, timeout_secs: 0 };
-    let started = Instant::now();
-    match run_one_cell(&task.runner, &task.cell, opts) {
-        Ok(run) => {
-            let seconds = started.elapsed().as_secs_f64();
-            let mut costs = inner.costs.lock().unwrap();
-            let est = costs.entry(task.cell.label()).or_insert(seconds);
-            *est = 0.5 * *est + 0.5 * seconds;
-            drop(costs);
-            inner.metrics.cells_computed.fetch_add(1, Ordering::Relaxed);
-            let text = format!("{}\n", run.result.to_json());
-            if let Err(e) = inner.cache.put(task.fingerprint, &text) {
-                log::warn(
-                    "rvp-serve",
-                    "cell computed but cache write failed; serving from memory only",
-                    &[
-                        ("fingerprint", format!("{:016x}", task.fingerprint).into()),
-                        ("error", e.to_string().into()),
-                    ],
-                );
-            }
-            (CellOutcome::Done { text: text.into(), cached: false }, false)
-        }
-        Err(poisoned) => {
-            if !poisoned.cancelled {
-                inner.metrics.cells_failed.fetch_add(1, Ordering::Relaxed);
-            }
-            let outcome = CellOutcome::Failed {
-                error: format!(
-                    "cell {} poisoned at stage {} after {} attempts: {}",
-                    poisoned.label, poisoned.stage, poisoned.attempts, poisoned.error
-                ),
-            };
-            (outcome, poisoned.cancelled)
-        }
-    }
-}
-
-/// Aborts a job: fires its token, detaches it from the scheduler
-/// (cancelling a shared cell's task token only when no other job still
-/// waits on it), fails its pending cells so waiters wake, and closes
-/// its journal record. Returns `None` for an unknown id, `Some(false)`
-/// for a job that had already finished, `Some(true)` on a real abort.
+/// Aborts a job: fires its token, fails its pending cells so waiters
+/// wake, detaches it from their flights (squashing a cell only when no
+/// other job still waits on it), and closes its journal record.
+/// Returns `None` for an unknown id, `Some(false)` for a job that had
+/// already finished, `Some(true)` on a real abort.
 fn cancel_job(inner: &Arc<Inner>, id: u64, why: &str) -> Option<bool> {
     let job = inner.jobs.lock().unwrap().get(&id).cloned()?;
     if job.is_done() {
@@ -1164,41 +1027,25 @@ fn cancel_job(inner: &Arc<Inner>, id: u64, why: &str) -> Option<bool> {
     }
     job.cancel.cancel(why);
     inner.metrics.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
-    {
-        let mut sched = inner.sched.lock().unwrap();
-        let mut orphaned: Vec<u64> = Vec::new();
-        for (fingerprint, list) in sched.waiters.iter_mut() {
-            list.retain(|(waiter, _)| waiter.id != id);
-            if list.is_empty() {
-                orphaned.push(*fingerprint);
-            }
-        }
-        for fingerprint in orphaned {
-            sched.waiters.remove(&fingerprint);
-            // Nobody wants this cell anymore: squash it. The queued or
-            // running worker notices within one poll mask and frees up.
-            if let Some(token) = sched.tokens.get(&fingerprint) {
-                token.cancel(why);
-            }
-        }
-    }
-    let completed = {
+    let pending: Vec<u64> = {
         let mut state = job.state.lock().unwrap();
         let JobState { cells, remaining } = &mut *state;
-        for slot in cells.iter_mut() {
-            if slot.outcome.is_none() {
+        let pending = cells.iter_mut().filter(|slot| slot.outcome.is_none());
+        pending
+            .map(|slot| {
                 slot.outcome = Some(CellOutcome::Failed { error: format!("job cancelled: {why}") });
                 *remaining -= 1;
-            }
-        }
-        *remaining == 0
+                slot.fingerprint
+            })
+            .collect()
     };
-    if completed {
-        // The abort is final: close the journal record so a restart
-        // does not resurrect work the client explicitly killed.
-        inner.journal.append_done(id);
-        job.notify_done();
+    for fingerprint in pending {
+        inner.exec.detach(fingerprint, why, |(waiter, _)| waiter.id == id);
     }
+    // The abort is final: close the journal record so a restart does
+    // not resurrect work the client explicitly killed.
+    inner.journal.append_done(id);
+    job.notify_done();
     log::info("rvp-serve", "job cancelled", &[("id", id.into()), ("why", why.into())]);
     Some(true)
 }
@@ -1233,7 +1080,7 @@ fn drain(inner: &Arc<Inner>) {
                 "drain window expired; squashing in-flight cells (journal preserves them)",
                 &[],
             );
-            inner.root.cancel("drain window expired");
+            inner.exec.root().cancel("drain window expired");
             // Bounded grace for the workers to squash out of their
             // cells; a cooperative squash takes milliseconds, so this
             // only runs long if a cell is wedged below the poll mask.
@@ -1259,7 +1106,7 @@ fn drain(inner: &Arc<Inner>) {
     }
     log::info("rvp-serve", "drain complete; stopping", &[("squashed", squashed.into())]);
     inner.stop.store(true, Ordering::SeqCst);
-    // Unblock the accept loop and the idle workers.
+    // Unblock the accept loop and stop the idle workers.
     let _ = TcpStream::connect(inner.addr);
-    inner.queue_cv.notify_all();
+    inner.exec.stop();
 }

@@ -134,6 +134,54 @@ pub fn sweep_body(wait: bool) -> Json {
     ])
 }
 
+/// A deliberately long sampled cell: a heavily scaled workload with a
+/// large measurement budget keeps the worker in the (cancel-polled)
+/// sampling planner for seconds of debug-build wall time.
+pub fn long_sampled_cell(extra: &[(&str, Json)]) -> Json {
+    let mut fields = vec![
+        ("workloads", Json::arr([Json::from("li")])),
+        ("schemes", Json::arr([Json::from("no_predict")])),
+        ("measure_insts", 20_000_000u64.into()),
+        ("profile_insts", 4_000u64.into()),
+        ("sample", "interval=30000".into()),
+        ("scale", 512u64.into()),
+    ];
+    for (k, v) in extra {
+        fields.push((k, v.clone()));
+    }
+    Json::obj(fields)
+}
+
+/// Posts a `wait=false` sweep, requires a 202, and returns the job id.
+pub fn post_job(addr: SocketAddr, body: &Json) -> u64 {
+    let accepted = request(addr, "POST", "/sweep", Some(body));
+    assert_eq!(accepted.status, 202, "{:?}", String::from_utf8_lossy(&accepted.body));
+    accepted.json().and_then(|j| j.get("job").and_then(Json::as_u64)).expect("job id")
+}
+
+/// Occupies the worker of a one-worker daemon with a
+/// [`long_sampled_cell`] job, so the jobs posted next queue behind it;
+/// returns that job's id (DELETE it to free the worker).
+pub fn hold_the_worker(addr: SocketAddr) -> u64 {
+    let id = post_job(addr, &long_sampled_cell(&[]));
+    // The queue-delay EWMA is observed when a worker dequeues a cell.
+    wait_for("the long cell to start", Duration::from_secs(30), || {
+        let metrics = request(addr, "GET", "/metrics", None).json().expect("metrics json");
+        metrics.get("queue_delay_ewma_us").and_then(Json::as_u64).unwrap_or(0) > 0
+    });
+    id
+}
+
+/// Polls job `id` until it is done and returns its JSON.
+pub fn wait_job_done(addr: SocketAddr, id: u64) -> Json {
+    let path = format!("/jobs/{id}");
+    let done = |job: &Json| job.get("status").and_then(Json::as_str) == Some("done");
+    wait_for(&format!("job {id} to finish"), Duration::from_secs(120), || {
+        request(addr, "GET", &path, None).json().is_some_and(|job| done(&job))
+    });
+    request(addr, "GET", &path, None).json().expect("job json")
+}
+
 /// Polls `probe` until it returns true or `timeout` elapses.
 pub fn wait_for(what: &str, timeout: Duration, mut probe: impl FnMut() -> bool) {
     let deadline = Instant::now() + timeout;

@@ -6,7 +6,10 @@ mod common;
 
 use std::time::Duration;
 
-use common::{cache_files, request, sweep_body, wait_for, Daemon, TempDir};
+use common::{
+    cache_files, hold_the_worker, post_job, request, sweep_body, wait_for, wait_job_done, Daemon,
+    TempDir,
+};
 use rvp_core::Json;
 
 #[test]
@@ -250,4 +253,72 @@ fn full_admission_queue_rejects_with_retry_after() {
     assert_eq!(ok.status, 200);
     let metrics = request(daemon.addr, "GET", "/metrics", None).json().expect("metrics");
     assert!(metrics.get("rejected").and_then(Json::as_u64).unwrap_or(0) >= 1);
+}
+
+/// The one cell two jobs share in the single-flight tests.
+fn shared_cell() -> Json {
+    Json::obj([
+        ("workloads", Json::arr([Json::from("li")])),
+        ("schemes", Json::arr([Json::from("lvp")])),
+        ("measure_insts", 4_000u64.into()),
+        ("profile_insts", 4_000u64.into()),
+        ("wait", false.into()),
+    ])
+}
+
+/// A one-worker daemon whose worker a long cell holds, so the jobs
+/// posted next queue together; returns it with the long job's id.
+fn held_daemon(dir: &TempDir) -> (Daemon, u64) {
+    let daemon = Daemon::spawn(dir.path(), &["--workers", "1"], &[]);
+    wait_for("readiness", Duration::from_secs(30), || {
+        request(daemon.addr, "GET", "/readyz", None).status == 200
+    });
+    let held = hold_the_worker(daemon.addr);
+    (daemon, held)
+}
+
+fn cells_computed(daemon: &Daemon) -> u64 {
+    let metrics = request(daemon.addr, "GET", "/metrics", None).json().expect("metrics json");
+    metrics.get("cells_computed").and_then(Json::as_u64).expect("cells_computed")
+}
+
+/// The one cell of a finished job, as the API reports it.
+fn only_cell(job: &Json) -> Json {
+    job.get("cells").and_then(Json::as_arr).expect("cells")[0].clone()
+}
+
+#[test]
+fn concurrent_jobs_for_one_cell_share_one_simulation() {
+    let dir = TempDir::new("single-flight");
+    let (daemon, held) = held_daemon(&dir);
+    let before = cells_computed(&daemon);
+    let first = post_job(daemon.addr, &shared_cell());
+    let second = post_job(daemon.addr, &shared_cell());
+    assert_eq!(request(daemon.addr, "DELETE", &format!("/jobs/{held}"), None).status, 200);
+
+    let (first, second) = (wait_job_done(daemon.addr, first), wait_job_done(daemon.addr, second));
+    assert_eq!(cells_computed(&daemon), before + 1, "one simulation for both jobs");
+    for job in [&first, &second] {
+        assert_eq!(job.get("computed").and_then(Json::as_u64), Some(1), "{job}");
+        assert_eq!(job.get("failed").and_then(Json::as_u64), Some(0), "{job}");
+    }
+    let result = |job: &Json| only_cell(job).get("result").expect("cell result").to_string();
+    assert_eq!(result(&first), result(&second), "both jobs get the same bytes");
+}
+
+#[test]
+fn deleting_one_sharer_leaves_the_others_cell_computed() {
+    let dir = TempDir::new("sharer-delete");
+    let (daemon, held) = held_daemon(&dir);
+    let leaving = post_job(daemon.addr, &shared_cell());
+    let staying = post_job(daemon.addr, &shared_cell());
+    assert_eq!(request(daemon.addr, "DELETE", &format!("/jobs/{leaving}"), None).status, 200);
+    assert_eq!(request(daemon.addr, "DELETE", &format!("/jobs/{held}"), None).status, 200);
+
+    let job = wait_job_done(daemon.addr, staying);
+    assert_eq!(job.get("computed").and_then(Json::as_u64), Some(1), "{job}");
+    assert_eq!(job.get("failed").and_then(Json::as_u64), Some(0), "{job}");
+    assert!(only_cell(&job).get("error").is_none(), "{job}");
+    let left = wait_job_done(daemon.addr, leaving);
+    assert_eq!(left.get("cancelled").and_then(Json::as_bool), Some(true), "{left}");
 }

@@ -12,7 +12,10 @@ use std::net::TcpStream;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use common::{cache_files, request, wait_for, Daemon, TempDir};
+use common::{
+    cache_files, hold_the_worker, long_sampled_cell, post_job, request, wait_for, wait_job_done,
+    Daemon, TempDir,
+};
 use rvp_core::Json;
 
 /// A one-cell sweep (li × no_predict) whose content address is made
@@ -32,24 +35,6 @@ fn sized_cell(threshold: f64, measure_insts: u64, wait: bool) -> Json {
         ("threshold", threshold.into()),
         ("wait", wait.into()),
     ])
-}
-
-/// A deliberately long sampled cell: a heavily scaled workload with a
-/// large measurement budget keeps the worker in the (cancel-polled)
-/// sampling planner for seconds of debug-build wall time.
-fn long_sampled_cell(extra: &[(&str, Json)]) -> Json {
-    let mut fields = vec![
-        ("workloads", Json::arr([Json::from("li")])),
-        ("schemes", Json::arr([Json::from("no_predict")])),
-        ("measure_insts", 20_000_000u64.into()),
-        ("profile_insts", 4_000u64.into()),
-        ("sample", "interval=30000".into()),
-        ("scale", 512u64.into()),
-    ];
-    for (k, v) in extra {
-        fields.push((k, v.clone()));
-    }
-    Json::obj(fields)
 }
 
 fn metrics_json(daemon: &Daemon) -> Json {
@@ -139,6 +124,29 @@ fn delete_aborts_a_long_cell_and_frees_its_worker_within_250ms() {
     let quick = request(daemon.addr, "POST", "/sweep", Some(&one_cell(0.9, true)));
     assert_eq!(quick.status, 200);
     assert!(metric(&daemon, "jobs_cancelled") >= 1);
+}
+
+#[test]
+fn resubmitting_a_deleted_jobs_cell_simulates_it_afresh() {
+    let dir = TempDir::new("resubmit");
+    let daemon = Daemon::spawn(dir.path(), &["--workers", "1"], &[]);
+    wait_for("readiness", Duration::from_secs(30), || {
+        request(daemon.addr, "GET", "/readyz", None).status == 200
+    });
+
+    // Job X holds the only worker; job A queues a cell behind it and is
+    // deleted, which squashes that queued cell.
+    let x = hold_the_worker(daemon.addr);
+    let a = post_job(daemon.addr, &one_cell(0.7, false));
+    assert_eq!(request(daemon.addr, "DELETE", &format!("/jobs/{a}"), None).status, 200);
+
+    // Job B, which nobody cancels, posts the same cell: it must get a
+    // simulation of its own, not ride the squashed one.
+    let b = post_job(daemon.addr, &one_cell(0.7, false));
+    assert_eq!(request(daemon.addr, "DELETE", &format!("/jobs/{x}"), None).status, 200);
+    let job = wait_job_done(daemon.addr, b);
+    assert_eq!(job.get("failed").and_then(Json::as_u64), Some(0), "{job}");
+    assert_eq!(job.get("computed").and_then(Json::as_u64), Some(1), "{job}");
 }
 
 #[test]
