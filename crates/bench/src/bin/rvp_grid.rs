@@ -24,12 +24,12 @@
 //! small subset of both this way). `--source` picks the committed-stream
 //! source for measurement runs: `shared` (default — each workload's
 //! trace is captured once up front and fanned out in memory to every
-//! scheme cell), `replay` (stream each cell from the on-disk trace
-//! cache) or `live` (re-emulate inside every cell, the pre-refactor
-//! behaviour). `--metrics-out` enables the optional instrumentation
-//! (time series + per-PC telemetry) on every cell — the artifacts land
-//! inside the cell JSONs — and writes a grid-level summary (throughput,
-//! trace-cache and per-workload source counters, failures) to FILE.
+//! scheme cell) or `live` (re-emulate inside every cell, the
+//! pre-refactor behaviour). `--metrics-out` enables the optional
+//! instrumentation (time series + per-PC telemetry) on every cell — the
+//! artifacts land inside the cell JSONs — and writes a grid-level
+//! summary (throughput, trace-cache and per-workload source counters,
+//! failures) to FILE.
 //! `--sample SPEC` measures every cell by SimPoint-style sampled
 //! simulation (`auto`, or `interval=N,warmup=N,dims=N,max_k=N,seed=N`)
 //! and `--scale N` multiplies every workload's outer pass counts —
@@ -56,7 +56,7 @@
 //! fails is contained, not fatal: panics are caught, a `--cell-timeout`
 //! watchdog bounds hangs, transient I/O faults are retried (up to
 //! `--retries` extra attempts with backoff), and a still-failing cell
-//! walks the source degradation ladder (shared → replay → live) before
+//! walks the source degradation ladder (shared → live) before
 //! being recorded as *poisoned* in the summary's `failures` section.
 //! The sweep always finishes; a poisoned cell turns the exit code into
 //! 20 and emits a one-line JSON diagnostic on stderr.
@@ -74,9 +74,9 @@
 //!
 //! The usual budget overrides (`RVP_MEASURE_INSTS`,
 //! `RVP_PROFILE_INSTS`) apply, `RVP_TRACE_DIR` enables the
-//! committed-trace cache, `RVP_SOURCE` is the env equivalent of
-//! `--source`, `RVP_THREADS` caps the worker count, and `RVP_FAIL`
-//! arms the deterministic fault-injection schedule (chaos testing).
+//! committed-trace cache, `RVP_THREADS` caps the worker count, and
+//! `RVP_FAIL` arms the deterministic fault-injection schedule (chaos
+//! testing).
 //! Failures and cache counters are also emitted as structured events
 //! through the `RVP_LOG` facade.
 
@@ -111,7 +111,7 @@ fn worker_count(cells: usize) -> usize {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: rvp-grid [OUT_DIR] [--workloads A,B,...] [--schemes A,B,...] \
-         [--source live|replay|shared] [--sample auto|interval=N,...] [--scale N] \
+         [--source live|shared] [--sample auto|interval=N,...] [--scale N] \
          [--metrics-out FILE] [--trace-out FILE] \
          [--resume] [--retries N] [--cell-timeout SECS]"
     );

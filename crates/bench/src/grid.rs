@@ -15,7 +15,7 @@
 //!   under `catch_unwind` (optionally with a deadline-armed child of the
 //!   caller's cancel token),
 //!   transient I/O faults are retried with bounded backoff, and a
-//!   failing cell walks the degradation ladder (shared → replay → live
+//!   failing cell walks the degradation ladder (shared → live
 //!   committed-stream source) before it is recorded as *poisoned*. A
 //!   poisoned cell is reported in the grid summary; it never aborts the
 //!   sweep.
@@ -125,13 +125,9 @@ impl PoisonedCell {
 /// the identical committed stream with less shared machinery, so a
 /// cell that succeeds on a lower rung is bit-identical to one that
 /// succeeded on the first.
-pub fn ladder(mode: SourceMode, has_store: bool) -> Vec<SourceMode> {
+pub fn ladder(mode: SourceMode) -> Vec<SourceMode> {
     match mode {
         SourceMode::Live => vec![SourceMode::Live],
-        SourceMode::Replay => vec![SourceMode::Replay, SourceMode::Live],
-        SourceMode::Shared if has_store => {
-            vec![SourceMode::Shared, SourceMode::Replay, SourceMode::Live]
-        }
         SourceMode::Shared => vec![SourceMode::Shared, SourceMode::Live],
     }
 }
@@ -253,7 +249,7 @@ pub fn run_one_cell(
     let mut last: Option<AttemptError> = None;
     let mut last_stage = runner.source_mode.name();
 
-    for mode in ladder(runner.source_mode, runner.traces.is_some()) {
+    for mode in ladder(runner.source_mode) {
         let mut r = runner.clone();
         r.source_mode = mode;
         last_stage = mode.name();
@@ -530,13 +526,8 @@ mod tests {
 
     #[test]
     fn ladder_descends_and_respects_store() {
-        assert_eq!(ladder(SourceMode::Live, true), vec![SourceMode::Live]);
-        assert_eq!(ladder(SourceMode::Replay, false), vec![SourceMode::Replay, SourceMode::Live]);
-        assert_eq!(
-            ladder(SourceMode::Shared, true),
-            vec![SourceMode::Shared, SourceMode::Replay, SourceMode::Live]
-        );
-        assert_eq!(ladder(SourceMode::Shared, false), vec![SourceMode::Shared, SourceMode::Live]);
+        assert_eq!(ladder(SourceMode::Live), vec![SourceMode::Live]);
+        assert_eq!(ladder(SourceMode::Shared), vec![SourceMode::Shared, SourceMode::Live]);
     }
 
     #[test]

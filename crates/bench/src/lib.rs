@@ -19,17 +19,13 @@ pub mod grid;
 
 use std::path::PathBuf;
 
-use rvp_core::{
-    RunResult, Runner, SampleSpec, SchemeSpec, SimError, SourceMode, UarchConfig, Workload,
-};
+use rvp_core::{RunResult, Runner, SampleSpec, SchemeSpec, SimError, UarchConfig, Workload};
 
-/// Budgets and the committed-stream source read from the environment
-/// with sensible defaults (`RVP_SOURCE` accepts `live`, `replay` or
-/// `shared`; unknown values are ignored). `RVP_SCALE` sets
-/// [`Runner::workload_scale`] and `RVP_SAMPLE` (a [`SampleSpec::parse`]
-/// string) enables sampled measurement — a malformed spec is reported
-/// on stderr and ignored rather than silently simulating something
-/// other than what was asked.
+/// Budgets read from the environment with sensible defaults.
+/// `RVP_SCALE` sets [`Runner::workload_scale`] and `RVP_SAMPLE` (a
+/// [`SampleSpec::parse`] string) enables sampled measurement — a
+/// malformed spec is reported on stderr and ignored rather than
+/// silently simulating something other than what was asked.
 pub fn runner_from_env() -> Runner {
     let mut r = Runner::default();
     if let Some(v) = env_u64("RVP_MEASURE_INSTS") {
@@ -37,9 +33,6 @@ pub fn runner_from_env() -> Runner {
     }
     if let Some(v) = env_u64("RVP_PROFILE_INSTS") {
         r.profile_insts = v;
-    }
-    if let Some(mode) = std::env::var("RVP_SOURCE").ok().and_then(|v| SourceMode::parse(&v)) {
-        r.source_mode = mode;
     }
     if let Some(v) = env_u64("RVP_SCALE") {
         r.workload_scale = v.max(1);

@@ -5,8 +5,8 @@
 //!
 //! * transient faults are retried and the sweep still succeeds, with
 //!   every surviving cell **bit-identical** to the fault-free run;
-//! * trace-layer corruption degrades to a lower committed-stream
-//!   source, again bit-identically;
+//! * trace-layer corruption is quarantined and the trace re-captured,
+//!   again bit-identically;
 //! * a cell that fails every rung of the degradation ladder is reported
 //!   as poisoned in the summary's `failures` section and turns the exit
 //!   code into 20 — it never aborts the rest of the sweep.
@@ -122,8 +122,8 @@ fn trace_corruption_degrades_bit_identically() {
 
     // With the on-disk trace cache enabled, flip a bit in the first
     // frame read back from it: the checksum rejects the frame and the
-    // source layer degrades to live emulation — same committed stream,
-    // same stats, byte for byte.
+    // store quarantines the trace and re-captures it — same committed
+    // stream, same stats, byte for byte.
     let chaotic = common::TempDir::new("degrade-chaos");
     let traces = chaotic.path().join("traces");
     std::fs::create_dir_all(&traces).expect("trace dir");

@@ -44,7 +44,6 @@ pub fn grid_command(out_dir: &Path, extra_args: &[&str], envs: &[(&str, &str)]) 
         .args(extra_args)
         .env_remove("RVP_FAIL")
         .env_remove("RVP_TRACE_DIR")
-        .env_remove("RVP_SOURCE")
         .env_remove("RVP_JSON_DIR")
         .env_remove("RVP_LOG")
         .env_remove("RVP_LOG_FILE")

@@ -1,12 +1,13 @@
 //! A sampled sweep reads no full trace: on the default shared source it
 //! prewarms sampling plans and windows, not decoded traces, and its
 //! cells are byte-identical to the same sweep on the live source.
+//! `live` and `shared` are the only sources `--source` accepts.
 
 #[allow(dead_code)] // this test needs only part of the shared scaffolding
 mod common;
 
 use common::{cell_files, run_grid, summary};
-use rvp_core::Json;
+use rvp_core::{Json, EXIT_USAGE};
 
 /// One workload, an unmarked, a marked and a reallocated scheme: the
 /// three ways a cell's program relates to the base program's plan.
@@ -45,4 +46,11 @@ fn sampled_sweep_on_the_shared_source_captures_no_trace() {
         .map(|(_, tally)| tally.get("captures").and_then(Json::as_u64).expect("captures"))
         .sum();
     assert_eq!(captures, 0, "a sampled sweep must not capture full traces");
+}
+
+#[test]
+fn replay_source_is_a_usage_error() {
+    let dir = common::TempDir::new("source-replay");
+    let out = run_grid(dir.path(), &["--source", "replay"], &[]);
+    assert_eq!(out.status.code(), Some(i32::from(EXIT_USAGE)), "--source replay must be refused");
 }

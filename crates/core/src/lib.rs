@@ -79,8 +79,8 @@ pub use rvp_trace::{
     TraceReader, TraceStore, TraceWriter,
 };
 pub use rvp_uarch::{
-    CommittedSource, EmuSource, Latencies, PlanMode, Recovery, ReplaySource, Scheme, SharedSource,
-    SimError, SimStats, Simulator, SourceKind, UarchConfig,
+    CommittedSource, EmuSource, Latencies, PlanMode, Recovery, Scheme, SharedSource, SimError,
+    SimStats, Simulator, UarchConfig,
 };
 pub use rvp_vpred::{
     list_value_predictors, new_value_predictor, value_predictor_names, BufferConfig,

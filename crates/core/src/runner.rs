@@ -14,8 +14,7 @@ use rvp_sample::{combine_weighted, SamplePlan, SampleSpec, SampleWindow};
 use rvp_trace::{program_hash, Fnv1a, TraceInput, TraceMeta, TraceStore};
 use rvp_uarch::TraceColumns;
 use rvp_uarch::{
-    CommittedSource, ObsConfig, PlanMode, Recovery, ReplaySource, Scheme, SharedSource, SimError,
-    SimStats, Simulator, UarchConfig,
+    ObsConfig, PlanMode, Recovery, Scheme, SharedSource, SimError, SimStats, Simulator, UarchConfig,
 };
 use rvp_workloads::{Input, Workload};
 
@@ -74,15 +73,12 @@ pub type RunMemo = Memo<u64, (SimStats, Option<Arc<SamplePlan>>)>;
 ///
 /// Value misprediction never changes architectural state, so every
 /// scheme × recovery cell of a workload consumes the *same* committed
-/// stream; all three modes produce bit-identical [`SimStats`].
+/// stream; both modes produce bit-identical [`SimStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SourceMode {
     /// Re-emulate the workload inside every cell (the pre-refactor
     /// behaviour, and the fallback whenever no trace can serve).
     Live,
-    /// Stream each cell from the on-disk trace cache ([`TraceStore`]),
-    /// degrading to live emulation mid-run on corruption.
-    Replay,
     /// Decode the committed trace once per workload into an
     /// columnar [`TraceColumns`] shared by every cell — the default: a grid
     /// pays for functional emulation once per workload, not per cell.
@@ -95,7 +91,6 @@ impl SourceMode {
     pub fn name(self) -> &'static str {
         match self {
             SourceMode::Live => "live",
-            SourceMode::Replay => "replay",
             SourceMode::Shared => "shared",
         }
     }
@@ -104,7 +99,6 @@ impl SourceMode {
     pub fn parse(s: &str) -> Option<SourceMode> {
         match s {
             "live" => Some(SourceMode::Live),
-            "replay" => Some(SourceMode::Replay),
             "shared" => Some(SourceMode::Shared),
             _ => None,
         }
@@ -215,16 +209,13 @@ impl fmt::Debug for SharedTraceCache {
 /// Per-workload tally of how measurement runs were fed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SourceTally {
-    /// Traces materialized (decoded into memory, or captured to disk
-    /// on behalf of replay runs) for this workload.
+    /// Traces decoded into memory for this workload.
     pub captures: u64,
-    /// Measurement runs served from a captured trace (shared memory or
-    /// clean disk replay).
+    /// Measurement runs served from a shared in-memory trace.
     pub shared_hits: u64,
     /// Measurement runs that fell back to live emulation despite a
     /// trace-backed mode: register-reallocated programs (no trace
-    /// describes the transformed stream), missing stores, or mid-run
-    /// trace corruption.
+    /// describes the transformed stream).
     pub live_fallbacks: u64,
 }
 
@@ -447,9 +438,10 @@ impl Runner {
     }
 
     /// Collects a profile, replaying a cached trace when a [`TraceStore`]
-    /// is configured. Any trouble with the trace path — capture failure,
-    /// corruption discovered mid-replay — falls back to live emulation;
-    /// the trace subsystem can slow an experiment down but never fail it.
+    /// is configured. The store replaces a trace that fails mid-read
+    /// with a fresh capture; a second failure falls back to live
+    /// emulation. The trace subsystem can slow an experiment down but
+    /// never fail it.
     fn collect_profile(
         &self,
         name: &'static str,
@@ -461,18 +453,15 @@ impl Runner {
         let cfg = ProfileConfig { max_insts: budget, min_execs: 32 };
         if let Some(store) = &self.traces {
             let meta = TraceMeta::for_program(name, trace_input(input), budget, program);
-            match store
-                .open_or_capture(program, &meta)
-                .and_then(|reader| Profile::collect_stream(program, &cfg, reader))
-            {
+            match store.read_or_capture(program, &meta, |reader| {
+                Profile::collect_stream(program, &cfg, reader)
+            }) {
                 Ok(profile) => return Ok(profile),
-                Err(e) => {
-                    log::warn(
-                        "rvp_core::runner",
-                        "trace replay failed; falling back to live emulation",
-                        &[("workload", name.into()), ("error", e.to_string().into())],
-                    );
-                }
+                Err(e) => log::warn(
+                    "rvp_core::runner",
+                    "trace replay failed; falling back to live emulation",
+                    &[("workload", name.into()), ("error", e.to_string().into())],
+                ),
             }
         }
         Profile::collect(program, &cfg).map_err(SimError::Emu)
@@ -645,43 +634,6 @@ impl Runner {
                 let mut source = SharedSource::new(trace);
                 sim.run_with_source(program, &mut source, self.measure_insts)
             }
-            SourceMode::Replay => {
-                let reader = self.traces.as_ref().and_then(|store| {
-                    let base = self.program_for(wl, Input::Ref);
-                    let meta =
-                        TraceMeta::for_program(name, TraceInput::Ref, self.measure_insts, &base);
-                    match store.open(&meta) {
-                        Ok(reader) => Some(reader),
-                        Err(_) => match store.capture(&base, &meta).and_then(|_| store.open(&meta))
-                        {
-                            Ok(reader) => {
-                                self.source_counters.bump(name, |t| t.captures += 1);
-                                Some(reader)
-                            }
-                            Err(e) => {
-                                log::warn(
-                                    "rvp_core::runner",
-                                    "trace unavailable for replay; running live",
-                                    &[("workload", name.into()), ("error", e.to_string().into())],
-                                );
-                                None
-                            }
-                        },
-                    }
-                });
-                let Some(reader) = reader else {
-                    self.source_counters.bump(name, |t| t.live_fallbacks += 1);
-                    return sim.run(program, self.measure_insts);
-                };
-                let mut source = ReplaySource::new(program, reader);
-                let stats = sim.run_with_source(program, &mut source, self.measure_insts)?;
-                if source.degraded() {
-                    self.source_counters.bump(name, |t| t.live_fallbacks += 1);
-                } else {
-                    self.source_counters.bump(name, |t| t.shared_hits += 1);
-                }
-                Ok(stats)
-            }
         }
     }
 
@@ -765,9 +717,9 @@ impl Runner {
 
     /// The shared decoded ref trace for `wl`, materialized on first use
     /// (per (workload, input, budget) key): decoded from the on-disk
-    /// store when one is configured — a decode failure falls back to
-    /// direct in-memory capture — else captured straight from the
-    /// emulator.
+    /// store when one is configured — the store re-captures a trace
+    /// that fails mid-read, and a second failure falls back to direct
+    /// in-memory capture — else captured straight from the emulator.
     fn shared_ref_trace(&self, wl: &Workload) -> Result<Arc<TraceColumns>, SimError> {
         let name = wl.name();
         let key = (name, Input::Ref, self.measure_insts, self.workload_scale);
@@ -776,10 +728,9 @@ impl Runner {
             let base = self.program_for(wl, Input::Ref);
             if let Some(store) = &self.traces {
                 let meta = TraceMeta::for_program(name, TraceInput::Ref, self.measure_insts, &base);
-                match store
-                    .open_or_capture(&base, &meta)
-                    .and_then(|reader| reader.collect::<Result<Vec<Committed>, _>>())
-                {
+                match store.read_or_capture(&base, &meta, |reader| {
+                    reader.collect::<Result<Vec<Committed>, _>>()
+                }) {
                     Ok(records) => return Ok(Arc::new(TraceColumns::from_records(&records))),
                     Err(e) => log::warn(
                         "rvp_core::runner",
@@ -806,8 +757,7 @@ impl Runner {
     /// # Errors
     ///
     /// Propagates emulator errors from a live capture or a sampling
-    /// pass. (A replay-mode store failure is *not* an error:
-    /// measurement will fall back to live emulation.)
+    /// pass.
     pub fn prewarm_trace(&self, wl: &Workload) -> Result<(), SimError> {
         if let Some(spec) = &self.sampling {
             let base = self.program_for(wl, Input::Ref);
@@ -816,30 +766,6 @@ impl Runner {
         match self.source_mode {
             SourceMode::Live => Ok(()),
             SourceMode::Shared => self.shared_ref_trace(wl).map(drop),
-            SourceMode::Replay => {
-                if let Some(store) = &self.traces {
-                    let base = self.program_for(wl, Input::Ref);
-                    let meta = TraceMeta::for_program(
-                        wl.name(),
-                        TraceInput::Ref,
-                        self.measure_insts,
-                        &base,
-                    );
-                    if store.open(&meta).is_err() {
-                        match store.capture(&base, &meta) {
-                            Ok(_) => {
-                                self.source_counters.bump(wl.name(), |t| t.captures += 1);
-                            }
-                            Err(e) => log::warn(
-                                "rvp_core::runner",
-                                "trace prewarm failed; replay will run live",
-                                &[("workload", wl.name().into()), ("error", e.to_string().into())],
-                            ),
-                        }
-                    }
-                }
-                Ok(())
-            }
         }
     }
 
@@ -1059,7 +985,9 @@ mod tests {
         let cfg = ProfileConfig { max_insts: warm.profile_insts, min_execs: 32 };
         let meta = TraceMeta::for_program(wl.name(), TraceInput::Train, cfg.max_insts, &train);
         let emulated = Profile::collect(&train, &cfg).unwrap();
-        let replayed = Profile::collect_stream(&train, &cfg, store.open(&meta).unwrap()).unwrap();
+        let replayed = store
+            .read_or_capture(&train, &meta, |reader| Profile::collect_stream(&train, &cfg, reader))
+            .unwrap();
         assert!(emulated == replayed, "replayed train profile differs from the emulated one");
 
         let _ = std::fs::remove_dir_all(&dir);
@@ -1083,21 +1011,15 @@ mod tests {
         };
 
         let (la, lb, lf, lt) = run_mode(SourceMode::Live);
-        let (ra, rb, rf, rt) = run_mode(SourceMode::Replay);
         let (sa, sb, sf, st) = run_mode(SourceMode::Shared);
-        assert_eq!(la, ra);
         assert_eq!(la, sa);
-        assert_eq!(lb, rb);
         assert_eq!(lb, sb);
-        assert_eq!(lf, rf);
         assert_eq!(lf, sf);
 
-        // Live mode counts nothing; trace-backed modes each capture one
-        // trace at prewarm (replay to disk, shared into memory — served
-        // from the disk file replay already wrote), serve two runs from
-        // it, and fall back to live for the reallocated cell.
+        // Live mode counts nothing; the shared mode captures one trace
+        // into memory at prewarm, serves two runs from it, and falls
+        // back to live for the reallocated cell.
         assert_eq!(lt, SourceTally::default());
-        assert_eq!(rt, SourceTally { captures: 1, shared_hits: 2, live_fallbacks: 1 });
         assert_eq!(st, SourceTally { captures: 1, shared_hits: 2, live_fallbacks: 1 });
 
         let _ = std::fs::remove_dir_all(&dir);
@@ -1285,12 +1207,12 @@ mod tests {
     }
 
     /// The columnar (SoA) trace view must be bit-identical, record for
-    /// record, with the AoS `Committed` streams all three source modes
-    /// are built on — the structure-of-arrays split is a layout change,
+    /// record, with the AoS `Committed` streams the live source and the
+    /// on-disk trace produce — the structure-of-arrays split is a layout change,
     /// never a value change.
     #[test]
     fn source_equivalence_soa_view_matches_aos_records() {
-        use rvp_uarch::EmuSource;
+        use rvp_uarch::{CommittedSource, EmuSource};
 
         let dir = std::env::temp_dir().join(format!("rvp-runner-soa-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1311,9 +1233,8 @@ mod tests {
 
         // AoS stream decoded back from the on-disk trace container.
         let meta = TraceMeta::for_program(wl.name(), TraceInput::Ref, budget, &program);
-        store.capture(&program, &meta).unwrap();
         let replay_records: Vec<Committed> =
-            store.open(&meta).unwrap().collect::<Result<_, _>>().unwrap();
+            store.read_or_capture(&program, &meta, |reader| reader.collect()).unwrap();
         assert_eq!(live_records, replay_records);
 
         // The SoA view the shared source serves: identical records, and

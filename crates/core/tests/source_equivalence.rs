@@ -1,7 +1,7 @@
-//! The [`rvp_core::SourceMode`] contract: live emulation, on-disk
-//! replay and the shared in-memory trace must produce bit-identical
-//! `SimStats` (CPI stacks included) for every paper scheme under every
-//! recovery model. One test per recovery so the matrix parallelizes.
+//! The [`rvp_core::SourceMode`] contract: live emulation and the shared
+//! in-memory trace must produce bit-identical `SimStats` (CPI stacks
+//! included) for every paper scheme under every recovery model. One
+//! test per recovery so the matrix parallelizes.
 
 use rvp_core::{
     by_name, paper_schemes, ProfileCache, Recovery, Runner, SourceMode, SourceTally, TraceStore,
@@ -46,32 +46,25 @@ fn check_recovery(recovery: Recovery) {
         // One runner per (scheme, source): each runner's run memo then
         // holds one cell, so every cell really runs through every
         // source instead of sharing a peer's simulation.
-        let mut replay_tally = SourceTally::default();
         let mut shared_tally = SourceTally::default();
         for scheme in &paper_schemes() {
             let live = runner(SourceMode::Live, recovery, &store, &profiles);
-            let replay = runner(SourceMode::Replay, recovery, &store, &profiles);
             let shared = runner(SourceMode::Shared, recovery, &store, &profiles);
             let want = live.run(&wl, scheme).unwrap();
-            let r = replay.run(&wl, scheme).unwrap();
             let s = shared.run(&wl, scheme).unwrap();
-            assert_eq!(want.stats, r.stats, "{name}/{}/{recovery:?}: replay", scheme.label());
             assert_eq!(want.stats, s.stats, "{name}/{}/{recovery:?}: shared", scheme.label());
             assert_eq!(live.source_counters.total().shared_hits, 0);
-            add(&mut replay_tally, replay.source_counters.total());
             add(&mut shared_tally, shared.source_counters.total());
         }
 
-        // The trace-backed runners must actually have served from
+        // The trace-backed runner must actually have served from
         // traces: only the register-reallocated cell may run live.
-        for (label, tally) in [("replay", replay_tally), ("shared", shared_tally)] {
-            assert_eq!(tally.live_fallbacks, 1, "{name}/{recovery:?}: {label} fallbacks");
-            assert_eq!(
-                tally.shared_hits,
-                paper_schemes().len() as u64 - 1,
-                "{name}/{recovery:?}: {label} served runs"
-            );
-        }
+        assert_eq!(shared_tally.live_fallbacks, 1, "{name}/{recovery:?}: shared fallbacks");
+        assert_eq!(
+            shared_tally.shared_hits,
+            paper_schemes().len() as u64 - 1,
+            "{name}/{recovery:?}: shared served runs"
+        );
     }
 
     let _ = std::fs::remove_dir_all(&dir);

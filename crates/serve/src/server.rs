@@ -464,13 +464,17 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
 
 /// Wires every counter family in the process into the unified registry:
 /// the daemon's own [`ServeMetrics`], the runner's per-workload source
-/// tallies, the trace store's cache/quarantine counters, and
-/// `rvp-fail`'s fired-site counters.
+/// tallies and shared-trace evictions, the trace store's
+/// cache/quarantine counters, and `rvp-fail`'s fired-site counters.
 fn register_collectors(inner: &Arc<Inner>) {
     let metrics = Arc::clone(&inner.metrics);
     inner.registry.register(move || metrics.metrics());
     let sources = inner.base.source_counters.clone();
     inner.registry.register(move || sources.metrics());
+    let shared = inner.base.shared_traces.clone();
+    inner.registry.register(move || {
+        vec![Metric::counter("rvp_shared_trace_evicted_total", shared.evicted())]
+    });
     if let Some(store) = &inner.base.traces {
         let counters = Arc::clone(store.counters());
         inner.registry.register(move || counters.metrics());

@@ -55,7 +55,6 @@ impl Daemon {
             .args(extra_args)
             .env_remove("RVP_FAIL")
             .env_remove("RVP_TRACE_DIR")
-            .env_remove("RVP_SOURCE")
             .env_remove("RVP_JSON_DIR")
             .env_remove("RVP_LOG")
             .env_remove("RVP_LOG_FILE")

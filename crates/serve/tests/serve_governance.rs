@@ -392,7 +392,7 @@ fn cache_budgets_hold_under_a_sustained_sweep() {
     }
 
     // Both evictors ran and are observable: the serve counter in the
-    // JSON metrics, the trace counter in the Prometheus exposition.
+    // JSON metrics, the trace counters in the Prometheus exposition.
     let metrics = request(addr, "GET", "/metrics", None).json().expect("metrics json");
     assert!(metrics.get("cache_evictions").and_then(Json::as_u64).unwrap_or(0) >= 1);
     let prom = request(addr, "GET", "/metrics?format=prom", None);
@@ -403,6 +403,10 @@ fn cache_budgets_hold_under_a_sustained_sweep() {
         .and_then(|v| v.trim().parse::<u64>().ok())
         .unwrap_or(0);
     assert!(evicted >= 1, "trace store evicted under budget pressure:\n{prom}");
+    assert!(
+        prom.lines().any(|l| l.starts_with("rvp_shared_trace_evicted_total ")),
+        "shared trace cache evictions are exported:\n{prom}"
+    );
     assert!(prom.contains("rvp_serve_cache_evictions_total"), "{prom}");
     handle.drain();
 }

@@ -68,6 +68,6 @@ mod writer;
 pub use durable::{evict_lru, write_atomic, BudgetDir, DISK_FULL_SITE};
 pub use format::{program_hash, TraceError, TraceInput, TraceMeta, FORMAT_VERSION, FRAME_RECORDS};
 pub use reader::TraceReader;
-pub use store::{StoreCounters, TraceStore, QUARANTINE_SUBDIR};
+pub use store::{StoreCounters, StoreReader, TraceStore, QUARANTINE_SUBDIR};
 pub use varint::{fnv1a, Fnv1a};
 pub use writer::{capture, TraceWriter};

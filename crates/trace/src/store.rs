@@ -25,7 +25,7 @@ pub struct StoreCounters {
 }
 
 impl StoreCounters {
-    /// Traces served straight from disk.
+    /// Stored traces read through without a fault.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
@@ -47,7 +47,7 @@ impl StoreCounters {
     }
 
     /// Cached traces that were rejected (corrupt, truncated, version or
-    /// metadata skew) and silently re-captured.
+    /// metadata skew) at open or mid-read and silently re-captured.
     pub fn fallbacks(&self) -> u64 {
         self.fallbacks.load(Ordering::Relaxed)
     }
@@ -68,8 +68,9 @@ impl StoreCounters {
 ///
 /// The store never lets a bad cache entry surface to an experiment:
 /// anything wrong with a cached file — stale format version, checksum
-/// mismatch, truncation, a different program hash — counts as a miss
-/// and triggers a fresh capture over the live emulator. The offending
+/// mismatch, truncation, a different program hash — whether found at
+/// open or mid-read, counts as a miss and triggers a fresh capture over
+/// the live emulator ([`TraceStore::read_or_capture`]). The offending
 /// file is *moved* into `dir/quarantine/` first, so a corrupt entry is
 /// preserved for diagnosis but can never be opened again.
 #[derive(Debug, Clone)]
@@ -78,6 +79,9 @@ pub struct TraceStore {
     dir: BudgetDir,
     counters: Arc<StoreCounters>,
 }
+
+/// A reader over a stored trace file.
+pub type StoreReader = TraceReader<std::io::BufReader<std::fs::File>>;
 
 /// Subdirectory rejected cache entries are moved into.
 pub const QUARANTINE_SUBDIR: &str = "quarantine";
@@ -158,10 +162,7 @@ impl TraceStore {
     /// Opens the cached trace for `meta` if one exists and is valid in
     /// every respect (format, checksums deferred to iteration, and the
     /// full metadata key including the program hash).
-    pub fn open(
-        &self,
-        meta: &TraceMeta,
-    ) -> Result<TraceReader<std::io::BufReader<std::fs::File>>, TraceError> {
+    pub fn open(&self, meta: &TraceMeta) -> Result<StoreReader, TraceError> {
         let _span = rvp_obs::span!("trace.read", {
             workload: meta.workload.as_str(),
             budget: meta.budget,
@@ -176,28 +177,50 @@ impl TraceStore {
         Ok(reader)
     }
 
-    /// Opens the cached trace for `meta`, capturing it first if absent
-    /// or invalid. This is the graceful-fallback entry point: a corrupt
-    /// or stale cache entry is quarantined and replaced, never reported.
-    pub fn open_or_capture(
+    /// Reads the trace for `meta` with `read`, capturing it first if it
+    /// is absent or rejected at open. This is the graceful-fallback
+    /// entry point: a stored trace that `read` finds damaged mid-stream
+    /// (a frame checksum, a truncated tail) is quarantined like one
+    /// rejected at open, re-captured and read once more, so the bad
+    /// bytes are never served again. A hit is counted only once a
+    /// stored trace has been read to the caller's satisfaction.
+    pub fn read_or_capture<T>(
         &self,
         program: &Program,
         meta: &TraceMeta,
-    ) -> Result<TraceReader<std::io::BufReader<std::fs::File>>, TraceError> {
-        match self.open(meta) {
-            Ok(reader) => {
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(reader);
-            }
-            Err(TraceError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
+        mut read: impl FnMut(StoreReader) -> Result<T, TraceError>,
+    ) -> Result<T, TraceError> {
+        let (reader, hit) = match self.open(meta) {
+            Ok(reader) => (reader, true),
             Err(e) => {
-                // Stale, corrupt or foreign file: quarantine it so the
-                // bad bytes can never be re-read, then fall back to a
-                // fresh capture.
-                self.counters.fallbacks.fetch_add(1, Ordering::Relaxed);
-                self.quarantine(&self.path_for(meta), &e);
+                if !matches!(&e, TraceError::Io(io) if io.kind() == std::io::ErrorKind::NotFound) {
+                    self.reject(meta, &e);
+                }
+                (self.recapture(program, meta)?, false)
+            }
+        };
+        match read(reader) {
+            Ok(value) => {
+                if hit {
+                    self.counters.hits.fetch_add(1, Ordering::Relaxed);
+                }
+                Ok(value)
+            }
+            Err(e) => {
+                self.reject(meta, &e);
+                read(self.recapture(program, meta)?)
             }
         }
+    }
+
+    /// Counts a fallback and quarantines the stored file for `meta`.
+    fn reject(&self, meta: &TraceMeta, error: &TraceError) {
+        self.counters.fallbacks.fetch_add(1, Ordering::Relaxed);
+        self.quarantine(&self.path_for(meta), error);
+    }
+
+    /// Captures the trace for `meta` afresh and opens it.
+    fn recapture(&self, program: &Program, meta: &TraceMeta) -> Result<StoreReader, TraceError> {
         self.capture(program, meta)?;
         self.counters.captures.fetch_add(1, Ordering::Relaxed);
         self.open(meta)
@@ -207,7 +230,7 @@ impl TraceStore {
     /// unique name. Best-effort: when even the move fails the file is
     /// deleted instead, because leaving it in place would let the next
     /// open read the same bad bytes again.
-    fn quarantine(&self, path: &Path, reason: &TraceError) {
+    fn quarantine(&self, path: &Path, error: &TraceError) {
         if !path.exists() {
             return;
         }
@@ -228,7 +251,7 @@ impl TraceStore {
             "quarantined rejected trace cache entry",
             &[
                 ("path", path.display().to_string().into()),
-                ("reason", reason.to_string().into()),
+                ("error", error.to_string().into()),
                 (
                     "quarantined_to",
                     if moved.is_ok() {

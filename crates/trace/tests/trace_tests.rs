@@ -5,8 +5,9 @@
 //! tests run the real emulator. The corruption tests damage files on
 //! disk — truncation, payload bit-flips, version skew, interrupted
 //! captures, program-hash skew — and assert both the precise
-//! `TraceError` and that `TraceStore::open_or_capture` silently
-//! re-captures instead of surfacing the damage.
+//! `TraceError` and that `TraceStore::read_or_capture` silently
+//! re-captures instead of surfacing the damage, whether the damage is
+//! found at open or mid-read.
 
 use std::io::Cursor;
 use std::path::{Path, PathBuf};
@@ -16,7 +17,7 @@ use rvp_emu::{Committed, Emulator, STACK_TOP};
 use rvp_isa::analysis::abi;
 use rvp_isa::{Program, ProgramBuilder, Reg, NUM_REGS};
 use rvp_trace::{
-    capture, TraceError, TraceInput, TraceMeta, TraceReader, TraceStore, TraceWriter,
+    capture, StoreReader, TraceError, TraceInput, TraceMeta, TraceReader, TraceStore, TraceWriter,
     FORMAT_VERSION, FRAME_RECORDS,
 };
 
@@ -84,6 +85,11 @@ fn emulated_stream(program: &Program, budget: u64) -> Vec<Committed> {
 
 fn replayed_stream(reader: impl Iterator<Item = Result<Committed, TraceError>>) -> Vec<Committed> {
     reader.map(|r| r.expect("decode")).collect()
+}
+
+/// A [`TraceStore::read_or_capture`] reader that decodes every record.
+fn read_all(reader: StoreReader) -> Result<Vec<Committed>, TraceError> {
+    reader.collect()
 }
 
 #[test]
@@ -286,13 +292,13 @@ fn store_falls_back_on_version_skew() {
     assert!(matches!(store.open(&meta), Err(TraceError::Version { .. })));
 
     // The graceful-fallback path re-captures and serves a valid trace.
-    let reader = store.open_or_capture(&program, &meta).expect("fallback");
-    assert_eq!(replayed_stream(reader), emulated_stream(&program, 1 << 20));
+    let stream = store.read_or_capture(&program, &meta, read_all).expect("fallback");
+    assert_eq!(stream, emulated_stream(&program, 1 << 20));
     assert_eq!(store.counters().fallbacks(), 1);
     assert_eq!(store.counters().captures(), 1);
 
     // And the replacement is a plain hit next time.
-    store.open_or_capture(&program, &meta).expect("hit");
+    store.read_or_capture(&program, &meta, read_all).expect("hit");
     assert_eq!(store.counters().hits(), 1);
     assert_eq!(store.counters().fallbacks(), 1);
 }
@@ -310,8 +316,8 @@ fn store_falls_back_on_header_truncation() {
     std::fs::write(&path, &bytes[..10]).expect("truncate into header");
     assert!(matches!(store.open(&meta), Err(TraceError::HeaderCorrupt)));
 
-    let reader = store.open_or_capture(&program, &meta).expect("fallback");
-    assert_eq!(reader.record_count(), emulated_stream(&program, 1 << 20).len() as u64);
+    let count = store.read_or_capture(&program, &meta, |r| Ok(r.record_count())).expect("fallback");
+    assert_eq!(count, emulated_stream(&program, 1 << 20).len() as u64);
     assert_eq!(store.counters().fallbacks(), 1);
 }
 
@@ -332,9 +338,10 @@ fn store_falls_back_on_program_hash_skew() {
     let meta = meta_for(&new_program, budget);
     std::fs::rename(store.path_for(&old_meta), store.path_for(&meta)).expect("collide");
     assert!(matches!(store.open(&meta), Err(TraceError::MetaMismatch { field: "program_hash" })));
-    let reader = store.open_or_capture(&new_program, &meta).expect("fallback");
-    assert_eq!(reader.meta().program_hash, meta.program_hash);
-    assert_eq!(replayed_stream(reader), emulated_stream(&new_program, budget));
+    let hash = store.read_or_capture(&new_program, &meta, |r| Ok(r.meta().program_hash));
+    assert_eq!(hash.expect("fallback"), meta.program_hash);
+    let stream = store.read_or_capture(&new_program, &meta, read_all).expect("hit");
+    assert_eq!(stream, emulated_stream(&new_program, budget));
     assert_eq!(store.counters().fallbacks(), 1);
 }
 
@@ -392,8 +399,8 @@ fn corrupt_cached_trace_is_quarantined() {
     let bytes = std::fs::read(&path).expect("read");
     std::fs::write(&path, &bytes[..10]).expect("truncate into header");
 
-    let reader = store.open_or_capture(&program, &meta).expect("fallback");
-    assert_eq!(replayed_stream(reader), emulated_stream(&program, 1 << 20));
+    let stream = store.read_or_capture(&program, &meta, read_all).expect("fallback");
+    assert_eq!(stream, emulated_stream(&program, 1 << 20));
     assert_eq!(store.counters().quarantined(), 1);
     assert_eq!(store.counters().fallbacks(), 1);
 
@@ -404,6 +411,38 @@ fn corrupt_cached_trace_is_quarantined() {
     // recapture replaced the file wholesale.
     let fresh = std::fs::read(&path).expect("recaptured file");
     assert!(fresh.len() > 10);
+}
+
+#[test]
+fn trace_failing_mid_read_is_quarantined_and_read_once_more() {
+    let dir = TempDir::new("mid-read");
+    let store = TraceStore::new(dir.path()).expect("store");
+    let program = looping_program(300);
+    let meta = meta_for(&program, 1 << 20);
+    store.capture(&program, &meta).expect("capture");
+
+    // Cut the file mid-frame: it still opens, and fails while decoding.
+    let path = store.path_for(&meta);
+    let bytes = std::fs::read(&path).expect("read");
+    std::fs::write(&path, &bytes[..bytes.len() * 2 / 3]).expect("truncate mid-stream");
+    store.open(&meta).expect("the damage is past the header");
+
+    let stream = store.read_or_capture(&program, &meta, read_all).expect("fallback");
+    assert_eq!(stream, emulated_stream(&program, 1 << 20));
+    let c = store.counters();
+    assert_eq!((c.hits(), c.captures(), c.fallbacks(), c.quarantined()), (0, 1, 1, 1));
+    assert_eq!(std::fs::read(&path).expect("recaptured"), bytes);
+
+    // A reader that fails on the fresh capture too gets its error back
+    // after exactly one more read; the caller decides what comes next.
+    let mut reads = 0;
+    let failed = store.read_or_capture(&program, &meta, |_| -> Result<(), TraceError> {
+        reads += 1;
+        Err(TraceError::Unfinished)
+    });
+    assert!(matches!(failed, Err(TraceError::Unfinished)), "got {failed:?}");
+    assert_eq!(reads, 2);
+    assert_eq!(store.counters().quarantined(), 2);
 }
 
 #[test]
@@ -451,8 +490,8 @@ fn programs_of_one_workload_at_two_scales_keep_separate_traces() {
         store.capture(program, &meta_for(program, budget)).expect("capture");
     }
     for program in &programs {
-        let reader = store.open_or_capture(program, &meta_for(program, budget)).expect("hit");
-        assert_eq!(replayed_stream(reader), emulated_stream(program, budget));
+        let stream = store.read_or_capture(program, &meta_for(program, budget), read_all);
+        assert_eq!(stream.expect("hit"), emulated_stream(program, budget));
     }
     let counters = store.counters();
     assert_eq!((counters.hits(), counters.fallbacks(), counters.quarantined()), (2, 0, 0));

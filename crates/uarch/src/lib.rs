@@ -21,10 +21,9 @@
 //!
 //! The model is trace-driven over the architectural committed stream,
 //! consumed through the [`CommittedSource`] abstraction: live emulation
-//! via [`rvp_emu::Emulator`] (the default), streaming replay of a
-//! captured trace, or a shared in-memory trace fanned out to many
-//! simulations of the same workload — all bit-identical in their
-//! resulting [`SimStats`]. Wrong-path instructions after a branch
+//! via [`rvp_emu::Emulator`] (the default), or a shared in-memory trace
+//! fanned out to many simulations of the same workload — both
+//! bit-identical in their resulting [`SimStats`]. Wrong-path instructions after a branch
 //! mispredict are modelled as a fetch bubble whose length equals the
 //! pipeline-refill penalty (7 cycles); wrong value speculation *is*
 //! simulated structurally, including instruction-queue pressure and
@@ -71,7 +70,7 @@ pub use crate::core::Simulator;
 pub use columns::TraceColumns;
 pub use config::{Latencies, UarchConfig};
 pub use scheme::{PlanMode, Recovery, Scheme};
-pub use source::{CommittedSource, EmuSource, ReplaySource, SharedSource, SourceKind};
+pub use source::{CommittedSource, EmuSource, SharedSource};
 pub use stats::{SimError, SimStats};
 pub use warmup::WarmState;
 

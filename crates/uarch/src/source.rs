@@ -10,14 +10,11 @@
 //!
 //! * [`EmuSource`] — live functional emulation (the fallback; exactly
 //!   the pre-refactor behaviour);
-//! * [`ReplaySource`] — streaming replay of a previously captured
-//!   trace, degrading to live emulation mid-run if the stream turns
-//!   out to be corrupt;
 //! * [`SharedSource`] — a shared, fully decoded in-memory trace in
 //!   columnar form ([`TraceColumns`]) captured once and handed to
 //!   every cell.
 //!
-//! All three must produce bit-identical [`crate::SimStats`]; the
+//! Both must produce bit-identical [`crate::SimStats`]; the
 //! integration suite enforces this for every scheme × recovery pair.
 //!
 //! # The rewind contract
@@ -32,7 +29,6 @@
 //! cursor back, making refetch recovery allocation-free.
 
 use std::collections::VecDeque;
-use std::fmt;
 use std::sync::Arc;
 
 use rvp_emu::{Committed, Emulator};
@@ -45,28 +41,6 @@ use crate::stats::SimError;
 // rewind path; keep them register-file-width cheap to move.
 const _: () = assert!(std::mem::size_of::<Committed>() <= 64);
 
-/// Which implementation a [`CommittedSource`] is (telemetry only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SourceKind {
-    /// Live functional emulation.
-    Live,
-    /// Streaming replay of an on-disk trace.
-    Replay,
-    /// Shared in-memory decoded trace.
-    Shared,
-}
-
-impl SourceKind {
-    /// Stable lowercase name (used in logs and summary JSON).
-    pub fn name(self) -> &'static str {
-        match self {
-            SourceKind::Live => "live",
-            SourceKind::Replay => "replay",
-            SourceKind::Shared => "shared",
-        }
-    }
-}
-
 /// A stream of committed-path instruction records for the timing core.
 ///
 /// The stream starts at `seq == 0` and is consecutive; after a
@@ -75,9 +49,6 @@ impl SourceKind {
 /// must not advance the stream: the fetch stage inspects the next
 /// record's PC for the I-cache model before deciding to consume it.
 pub trait CommittedSource {
-    /// Which implementation this is.
-    fn kind(&self) -> SourceKind;
-
     /// The next record, without consuming it. `Ok(None)` means the
     /// program ended (a `halt` or the end of a captured trace).
     fn peek(&mut self) -> Result<Option<&Committed>, SimError>;
@@ -97,15 +68,9 @@ pub trait CommittedSource {
     /// suffix of everything produced so far) for replay. Drains
     /// `squashed`.
     fn rewind(&mut self, squashed: &mut Vec<Committed>);
-
-    /// Whether the source has degraded from its nominal mode (e.g. a
-    /// corrupt trace forced a fall-back to live emulation).
-    fn degraded(&self) -> bool {
-        false
-    }
 }
 
-/// Initial capacity of a streaming source's pending queue. The queue
+/// Initial capacity of the live source's pending queue. The queue
 /// holds rewound records plus at most one peeked fresh record, so a
 /// squash's depth (bounded by the ROB plus the fetched-but-undispatched
 /// suffix) is the realistic high-water mark.
@@ -144,10 +109,6 @@ impl<'p> EmuSource<'p> {
 }
 
 impl CommittedSource for EmuSource<'_> {
-    fn kind(&self) -> SourceKind {
-        SourceKind::Live
-    }
-
     fn peek(&mut self) -> Result<Option<&Committed>, SimError> {
         self.fill()?;
         Ok(self.pending.front())
@@ -213,10 +174,6 @@ impl SharedSource {
 }
 
 impl CommittedSource for SharedSource {
-    fn kind(&self) -> SourceKind {
-        SourceKind::Shared
-    }
-
     fn peek(&mut self) -> Result<Option<&Committed>, SimError> {
         self.peeked = self.trace.record(self.cursor);
         Ok(self.peeked.as_ref())
@@ -242,146 +199,6 @@ impl CommittedSource for SharedSource {
             self.cursor = first.seq as usize;
         }
         squashed.clear();
-    }
-}
-
-/// Streaming replay of a captured trace, with graceful degradation: if
-/// the stream errors mid-run (truncated or corrupt file), the source
-/// logs a structured warning, fast-forwards a fresh emulator to the
-/// current position and continues live. The checksummed prefix it
-/// already delivered is identical to what emulation produces, so stats
-/// stay bit-identical.
-///
-/// Generic over the record iterator so `rvp-uarch` needs no dependency
-/// on the trace container format; `rvp-trace`'s reader slots in as `I`.
-pub struct ReplaySource<'p, I, E>
-where
-    I: Iterator<Item = Result<Committed, E>>,
-    E: fmt::Display,
-{
-    program: &'p Program,
-    /// The trace stream; `None` once degraded to live emulation.
-    reader: Option<I>,
-    /// The fallback emulator, created on degradation.
-    emu: Option<Emulator<'p>>,
-    /// Rewound records awaiting replay (plus at most one peeked record).
-    pending: VecDeque<Committed>,
-    /// Fresh records produced so far (== the seq of the next fresh one).
-    produced: u64,
-    done: bool,
-    degraded: bool,
-}
-
-impl<'p, I, E> ReplaySource<'p, I, E>
-where
-    I: Iterator<Item = Result<Committed, E>>,
-    E: fmt::Display,
-{
-    /// A source replaying `reader`; `program` backs the live fallback.
-    ///
-    /// The caller is responsible for having validated that the trace
-    /// was captured from this exact program (e.g. via trace metadata);
-    /// the fallback silently re-derives the stream from `program`.
-    pub fn new(program: &'p Program, reader: I) -> ReplaySource<'p, I, E> {
-        ReplaySource {
-            program,
-            reader: Some(reader),
-            emu: None,
-            pending: VecDeque::with_capacity(PENDING_CAPACITY),
-            produced: 0,
-            done: false,
-            degraded: false,
-        }
-    }
-
-    /// Drops the broken reader and fast-forwards a live emulator past
-    /// the `produced` records already delivered.
-    fn degrade(&mut self, error: &dyn fmt::Display) -> Result<(), SimError> {
-        rvp_obs::log::warn(
-            "uarch::source",
-            "trace replay failed; falling back to live emulation",
-            &[
-                ("error", error.to_string().into()),
-                ("produced", rvp_json::Json::from(self.produced)),
-            ],
-        );
-        self.reader = None;
-        self.degraded = true;
-        let mut emu = Emulator::new(self.program);
-        for _ in 0..self.produced {
-            if emu.step()?.is_none() {
-                // The program ends before the trace prefix does: the
-                // trace cannot belong to this program after all.
-                self.done = true;
-                break;
-            }
-        }
-        self.emu = Some(emu);
-        Ok(())
-    }
-
-    fn fill(&mut self) -> Result<(), SimError> {
-        if !self.pending.is_empty() || self.done {
-            return Ok(());
-        }
-        if let Some(reader) = &mut self.reader {
-            match reader.next() {
-                Some(Ok(rec)) => {
-                    self.pending.push_back(rec);
-                    self.produced += 1;
-                    return Ok(());
-                }
-                None => {
-                    self.done = true;
-                    return Ok(());
-                }
-                Some(Err(e)) => {
-                    let msg = e.to_string();
-                    self.degrade(&msg)?;
-                }
-            }
-        }
-        if self.done {
-            return Ok(());
-        }
-        match self.emu.as_mut().expect("degraded source has an emulator").step()? {
-            Some(rec) => {
-                self.pending.push_back(rec);
-                self.produced += 1;
-            }
-            None => self.done = true,
-        }
-        Ok(())
-    }
-}
-
-impl<I, E> CommittedSource for ReplaySource<'_, I, E>
-where
-    I: Iterator<Item = Result<Committed, E>>,
-    E: fmt::Display,
-{
-    fn kind(&self) -> SourceKind {
-        SourceKind::Replay
-    }
-
-    fn peek(&mut self) -> Result<Option<&Committed>, SimError> {
-        self.fill()?;
-        Ok(self.pending.front())
-    }
-
-    fn next_record(&mut self) -> Result<Option<Committed>, SimError> {
-        self.fill()?;
-        Ok(self.pending.pop_front())
-    }
-
-    fn rewind(&mut self, squashed: &mut Vec<Committed>) {
-        for rec in squashed.drain(..).rev() {
-            self.pending.push_front(rec);
-        }
-    }
-
-    fn degraded(&self) -> bool {
-        self.degraded
     }
 }
 
@@ -449,31 +266,5 @@ mod tests {
             }
             assert_eq!(src.next_record().unwrap().unwrap().seq, 6, "{name}");
         }
-    }
-
-    #[test]
-    fn replay_source_streams_and_degrades() {
-        let p = tiny_program();
-        let trace = SharedSource::capture(&p, 1 << 20).unwrap();
-        let full: Vec<Committed> = trace.records().collect();
-
-        // Clean replay: identical stream, not degraded.
-        let ok = full.iter().copied().map(Ok::<_, String>).collect::<Vec<_>>();
-        let mut src = ReplaySource::new(&p, ok.into_iter());
-        assert_eq!(drain(&mut src), full);
-        assert!(!src.degraded());
-
-        // A stream that errors halfway: the fallback emulator must
-        // reproduce the remainder exactly.
-        let broken: Vec<Result<Committed, String>> = full
-            .iter()
-            .take(5)
-            .copied()
-            .map(Ok)
-            .chain([Err("simulated corruption".to_string())])
-            .collect();
-        let mut src = ReplaySource::new(&p, broken.into_iter());
-        assert_eq!(drain(&mut src), full);
-        assert!(src.degraded());
     }
 }
