@@ -10,7 +10,7 @@ use rvp_json::{Json, ToJson};
 use rvp_obs::log;
 use rvp_profile::{Fig1Row, PlanScope, PredictionPlan, Profile, ProfileConfig};
 use rvp_realloc::{reallocate, ReallocOptions};
-use rvp_sample::{combine_weighted, SamplePlan, SampleSpec, SampleWindow};
+use rvp_sample::{combine_weighted, Checkpoints, SamplePlan, SampleSpec, SampleWindow};
 use rvp_trace::{program_hash, Fnv1a, TraceInput, TraceMeta, TraceStore};
 use rvp_uarch::TraceColumns;
 use rvp_uarch::{
@@ -19,7 +19,7 @@ use rvp_uarch::{
 use rvp_workloads::{Input, Workload};
 
 use crate::memo::Memo;
-use crate::sampling::{build_plan, extract_plan_windows, sample_key, SamplingCaches};
+use crate::sampling::{build_plan, sample_key, SamplingCaches};
 use crate::schemes::{PlanSource, SchemeSpec};
 
 /// Result of one (workload, scheme) simulation.
@@ -301,6 +301,11 @@ struct PreparedCell {
     /// The program the cell simulates when it is not `base`: `rvp_`
     /// marked, or register-reallocated.
     transformed: Option<Program>,
+    /// [`program_hash`] of `base`.
+    base_hash: u64,
+    /// [`program_hash`] of the simulated program (`transformed`, or
+    /// `base` when there is none).
+    simulated_hash: u64,
     /// The scheme the timing core runs.
     scheme: Scheme,
     /// Whether `transformed` is a register reallocation (its committed
@@ -497,7 +502,14 @@ impl Runner {
         self.check_cancel()?;
         let cell = self.prepare(wl, scheme)?;
         let key = self.fingerprint(&cell);
-        let PreparedCell { base, transformed, scheme: sim_scheme, reallocated } = cell;
+        let PreparedCell {
+            base,
+            transformed,
+            base_hash,
+            simulated_hash,
+            scheme: sim_scheme,
+            reallocated,
+        } = cell;
         let program = transformed.as_ref().unwrap_or(&base);
         let (stats, sampling) = self.runs.get_or_try_init(key, || -> Result<_, SimError> {
             // This cell may have waited out a peer's failed run; its
@@ -505,8 +517,18 @@ impl Runner {
             self.check_cancel()?;
             Ok(match self.sampling {
                 Some(spec) => {
-                    let (stats, plan) =
-                        self.measure_sampled(wl, &base, program, sim_scheme, &spec, reallocated)?;
+                    // A reallocated program's records differ from the
+                    // base's; every other cell replays the base stream.
+                    let stream =
+                        if reallocated { (program, simulated_hash) } else { (&base, base_hash) };
+                    let (stats, plan) = self.measure_sampled(
+                        wl,
+                        (&base, base_hash),
+                        program,
+                        stream,
+                        sim_scheme,
+                        &spec,
+                    )?;
                     (stats, Some(plan))
                 }
                 None => (self.measure(wl, program, sim_scheme, reallocated)?, None),
@@ -530,6 +552,7 @@ impl Runner {
     fn prepare(&self, wl: &Workload, scheme: &SchemeSpec) -> Result<PreparedCell, SimError> {
         let info = scheme.info();
         let base = self.program_for(wl, Input::Ref);
+        let base_hash = program_hash(&base);
         let train = self.program_for(wl, Input::Train);
         if base.len() != train.len() {
             return Err(SimError::StructureMismatch {
@@ -565,9 +588,12 @@ impl Runner {
                 transformed = Some(reallocate(&base, profile, &self.realloc_options()).program);
             }
         }
+        let simulated_hash = transformed.as_ref().map_or(base_hash, program_hash);
         Ok(PreparedCell {
             base,
             transformed,
+            base_hash,
+            simulated_hash,
             scheme: sim_scheme,
             reallocated: info.plan == PlanSource::Realloc,
         })
@@ -582,19 +608,15 @@ impl Runner {
     /// are left out.
     fn fingerprint(&self, cell: &PreparedCell) -> u64 {
         let program = cell.transformed.as_ref().unwrap_or(&cell.base);
-        let simulated = program_hash(program);
         let mut h = Fnv1a::default();
         cell.scheme.hash_prediction(program, &self.config, &mut h);
-        h.write_u64(simulated);
+        h.write_u64(cell.simulated_hash);
         let machine =
             format!("|{:?}|{}|{:?}|{:?}", self.recovery, self.measure_insts, self.config, self.obs);
         h.write(machine.as_bytes());
         if let Some(spec) = &self.sampling {
             h.write(spec.fingerprint_component().as_bytes());
-            h.write_u64(match &cell.transformed {
-                Some(_) => program_hash(&cell.base),
-                None => simulated,
-            });
+            h.write_u64(cell.base_hash);
         }
         h.finish()
     }
@@ -647,22 +669,23 @@ impl Runner {
     /// one simulated. Marking and reallocation leave every `pc →
     /// next_pc` transition as it was, so the plan comes from `base`.
     /// `rvp_` marking changes no committed record either, so a marked
-    /// program runs over `base`'s windows, as it runs over the base
-    /// trace in [`Runner::measure`]. A register-reallocated program
-    /// renames destinations in its records, so it gets windows cut from
-    /// its own stream under the same plan.
+    /// program runs over `base`'s windows (`stream` is `base`), as it
+    /// runs over the base trace in [`Runner::measure`]. A
+    /// register-reallocated program renames destinations in its
+    /// records, so it gets windows cut from its own stream (`stream` is
+    /// `program`) under the same plan. Each program comes with its
+    /// [`program_hash`].
     fn measure_sampled(
         &self,
         wl: &Workload,
-        base: &Program,
+        base: (&Program, u64),
         program: &Program,
+        stream: (&Program, u64),
         sim_scheme: Scheme,
         spec: &SampleSpec,
-        reallocated: bool,
     ) -> Result<(SimStats, Arc<SamplePlan>), SimError> {
         let name = wl.name();
         let _span = rvp_obs::span!("runner.measure", { workload: name, source: "sampled" });
-        let stream = if reallocated { program } else { base };
         let (plan, windows) = self.sample_windows(name, base, stream, spec)?;
 
         let mut parts = Vec::with_capacity(windows.len());
@@ -692,26 +715,38 @@ impl Runner {
     /// [`Runner::samples`]: the plan under `base`'s hash (and
     /// content-addressed on disk next to the trace store), the windows
     /// under `stream`'s, so every program with the same committed
-    /// stream shares one window set.
+    /// stream shares one window set. Each program comes with its
+    /// [`program_hash`].
+    ///
+    /// When this call runs the BBV pass and `stream` is `base`, the
+    /// windows are cut from that pass's checkpoints; otherwise (a plan
+    /// loaded from disk or built by a peer, a reallocated stream) they
+    /// are cut from `stream`'s initial state in one forward pass.
     fn sample_windows(
         &self,
         name: &'static str,
-        base: &Program,
-        stream: &Program,
+        (base, base_hash): (&Program, u64),
+        (stream, stream_hash): (&Program, u64),
         spec: &SampleSpec,
     ) -> Result<(Arc<SamplePlan>, Arc<Vec<SampleWindow>>), SimError> {
         let budget = self.measure_insts;
         let (interval, warmup) = spec.resolve(budget);
-        let key = |p: &Program| {
-            sample_key(name, budget, rvp_trace::program_hash(p), interval, warmup, spec)
-        };
+        let key = |hash| sample_key(name, budget, hash, interval, warmup, spec);
         let cancel = self.cancel.as_ref();
         let plan_dir = self.traces.as_ref().map(|s| s.dir().join("plans"));
-        let plan = self.samples.plan(key(base), plan_dir.as_deref(), || {
-            build_plan(name, base, budget, interval, warmup, spec, cancel)
+        let mut checkpoints = None;
+        let plan = self.samples.plan(key(base_hash), plan_dir.as_deref(), || {
+            let (plan, kept) = build_plan(name, base, budget, interval, warmup, spec, cancel)?;
+            checkpoints = Some(kept);
+            Ok(plan)
         })?;
-        let windows =
-            self.samples.windows(key(stream), || extract_plan_windows(&plan, stream, cancel))?;
+        let windows = self.samples.windows(key(stream_hash), || {
+            let from = match checkpoints.take() {
+                Some(kept) if stream_hash == base_hash => kept,
+                _ => Checkpoints::initial(stream),
+            };
+            from.cut(&plan, cancel)
+        })?;
         Ok((plan, windows))
     }
 
@@ -761,7 +796,8 @@ impl Runner {
     pub fn prewarm_trace(&self, wl: &Workload) -> Result<(), SimError> {
         if let Some(spec) = &self.sampling {
             let base = self.program_for(wl, Input::Ref);
-            return self.sample_windows(wl.name(), &base, &base, spec).map(drop);
+            let base = (&base, program_hash(&base));
+            return self.sample_windows(wl.name(), base, base, spec).map(drop);
         }
         match self.source_mode {
             SourceMode::Live => Ok(()),
@@ -1077,7 +1113,7 @@ mod tests {
             panic!("srvp_live marks loads statically");
         };
         let plan_of = |name, program: &Program| {
-            build_plan(name, program, r.measure_insts, interval, warmup, &sample, None).unwrap()
+            build_plan(name, program, r.measure_insts, interval, warmup, &sample, None).unwrap().0
         };
         let records = |w: &SampleWindow| w.detail.records().collect::<Vec<_>>();
         for wl in rvp_workloads::all() {
@@ -1092,8 +1128,8 @@ mod tests {
             assert_eq!(plan_of(name, &marked), plan, "{name}: marked plan differs");
             assert_eq!(plan_of(name, &reallocated), plan, "{name}: reallocated plan differs");
 
-            let want = extract_plan_windows(&plan, &base, None).unwrap();
-            let got = extract_plan_windows(&plan, &marked, None).unwrap();
+            let want = Checkpoints::initial(&base).cut(&plan, None).unwrap();
+            let got = Checkpoints::initial(&marked).cut(&plan, None).unwrap();
             assert_eq!(got.len(), want.len(), "{name}");
             for (g, w) in got.iter().zip(&want) {
                 assert_eq!((g.index, g.start, g.cluster), (w.index, w.start, w.cluster), "{name}");

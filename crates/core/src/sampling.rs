@@ -21,7 +21,9 @@ use rvp_emu::Emulator;
 use rvp_isa::Program;
 use rvp_json::{Json, ToJson};
 use rvp_obs::log;
-use rvp_sample::{extract_windows, BbvConfig, BbvProfiler, SamplePlan, SampleSpec, SampleWindow};
+use rvp_sample::{
+    BbvConfig, BbvProfiler, Checkpoints, SamplePlan, SampleSpec, SampleWindow, CANCEL_CHECK_MASK,
+};
 use rvp_uarch::SimError;
 
 use crate::memo::Memo;
@@ -83,7 +85,8 @@ impl SamplingCaches {
     /// The extracted windows for `key`, memoized like [`Self::plan`].
     /// Windows are a few MB of committed records — worth sharing across
     /// every scheme cell whose committed stream they carry, not worth
-    /// persisting (re-extraction is one streaming emulation pass).
+    /// persisting (re-extraction is at most one streaming emulation
+    /// pass).
     pub(crate) fn windows(
         &self,
         key: u64,
@@ -139,27 +142,23 @@ fn store_plan(path: &Path, plan: &SamplePlan) {
     }
 }
 
-/// Cancel polls in the streaming emulation passes happen every
-/// `CANCEL_CHECK_MASK + 1` committed records — the same amortization
-/// idea as the cycle loop's, so a sampled cell squashes within
-/// milliseconds of its token firing even while profiling.
-const CANCEL_CHECK_MASK: u64 = 0x1FFF;
-
 /// One full pipeline run up to the plan: stream the committed
 /// instructions through the BBV profiler ([`sample.profile`] span),
-/// then cluster ([`sample.cluster`] span inside
-/// [`SamplePlan::build`]). The profiler reads only `pc` and `next_pc`,
-/// so `program` may be the base program of any marked or reallocated
-/// variant.
-pub(crate) fn build_plan(
+/// keeping emulator [`Checkpoints`] on interval boundaries as it goes,
+/// then cluster ([`sample.cluster`] span inside [`SamplePlan::build`]).
+/// The profiler reads only `pc` and `next_pc`, so `program` may be the
+/// base program of any marked or reallocated variant; the checkpoints,
+/// though, resume `program`'s own stream only.
+pub(crate) fn build_plan<'p>(
     workload: &'static str,
-    program: &Program,
+    program: &'p Program,
     budget: u64,
     interval: u64,
     warmup: u64,
     spec: &SampleSpec,
     cancel: Option<&rvp_obs::CancelToken>,
-) -> Result<SamplePlan, SimError> {
+) -> Result<(SamplePlan, Checkpoints<'p>), SimError> {
+    let mut checkpoints = Checkpoints::for_pass(program, budget, interval);
     let profile = {
         let _span = rvp_obs::span!("sample.profile", { workload, budget, interval });
         let cfg = BbvConfig { interval_insts: interval, dims: spec.dims, seed: spec.seed };
@@ -172,6 +171,7 @@ pub(crate) fn build_plan(
                     return Err(SimError::Cancelled { cycle: 0, committed: seen, reason });
                 }
             }
+            checkpoints.observe(&emu);
             match emu.step().map_err(SimError::Emu)? {
                 Some(rec) => {
                     prof.observe(rec.pc, rec.next_pc);
@@ -182,33 +182,41 @@ pub(crate) fn build_plan(
         }
         prof.finish()
     };
-    Ok(SamplePlan::build(&profile, spec, warmup))
+    Ok((SamplePlan::build(&profile, spec, warmup), checkpoints))
 }
 
-/// The second streaming pass: re-emulate the program and pull out just
-/// the planned windows. A fired cancel token ends the stream early and
-/// surfaces as [`SimError::Cancelled`] rather than a short-trace error.
-pub(crate) fn extract_plan_windows(
-    plan: &SamplePlan,
-    program: &Program,
-    cancel: Option<&rvp_obs::CancelToken>,
-) -> Result<Vec<SampleWindow>, SimError> {
-    let mut emu = Emulator::new(program);
-    let mut seen = 0u64;
-    let result = extract_windows(
-        plan,
-        std::iter::from_fn(|| {
-            if seen & CANCEL_CHECK_MASK == 0
-                && cancel.and_then(rvp_obs::CancelToken::poll).is_some()
-            {
-                return None;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rvp_workloads::Input;
+
+    /// Windows cut from the BBV pass's checkpoints are the windows a
+    /// single forward pass cuts, record for record, at the `grid-sampled`
+    /// configuration: every workload at scale 4, a 2.5M budget and
+    /// `max_k=4`.
+    #[test]
+    fn windows_from_checkpoints_match_a_forward_pass() {
+        let budget = 2_500_000;
+        let spec = SampleSpec { max_k: 4, ..SampleSpec::default() };
+        let (interval, warmup) = spec.resolve(budget);
+        for wl in rvp_workloads::all() {
+            let name = wl.name();
+            let program = wl.program_scaled(Input::Ref, 4);
+            let (plan, checkpoints) =
+                build_plan(name, &program, budget, interval, warmup, &spec, None).unwrap();
+            let got = checkpoints.cut(&plan, None).unwrap();
+            let want = Checkpoints::initial(&program).cut(&plan, None).unwrap();
+            assert_eq!(got.len(), want.len(), "{name}");
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!((g.index, g.start, g.cluster), (w.index, w.start, w.cluster), "{name}");
+                assert_eq!(g.weight.to_bits(), w.weight.to_bits(), "{name}");
+                assert_eq!(g.warmup, w.warmup, "{name}: warmup records differ");
+                assert!(
+                    g.detail.records().eq(w.detail.records()),
+                    "{name}: detail records of window {} differ",
+                    g.index
+                );
             }
-            seen += 1;
-            emu.step().transpose()
-        }),
-    );
-    if let Some(reason) = cancel.and_then(|t| t.reason()) {
-        return Err(SimError::Cancelled { cycle: 0, committed: seen, reason });
+        }
     }
-    result.map_err(SimError::Emu)
 }

@@ -38,7 +38,9 @@
 //! ```
 
 mod emulator;
+mod hash;
 mod memory;
 
 pub use emulator::{Committed, EmuError, Emulator, RunSummary, STACK_TOP};
+pub use hash::{U64Hasher, U64Map};
 pub use memory::Memory;

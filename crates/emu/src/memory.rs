@@ -1,4 +1,4 @@
-use std::collections::HashMap;
+use crate::hash::U64Map;
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
@@ -7,7 +7,7 @@ const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 ///
 /// Pages (4 KiB) are allocated lazily on first touch and zero-filled, so a
 /// program may use any address without explicit mapping. Values are stored
-/// little-endian.
+/// little-endian. Pages are found by page number through [`crate::U64Hasher`].
 ///
 /// # Examples
 ///
@@ -21,7 +21,7 @@ const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Memory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: U64Map<Box<[u8; PAGE_SIZE]>>,
 }
 
 impl Memory {
@@ -144,6 +144,43 @@ mod tests {
         m.write_bytes(addr, 0x0102_0304_0506_0708, 8);
         assert_eq!(m.read_bytes(addr, 8), 0x0102_0304_0506_0708);
         assert_eq!(m.page_count(), 2);
+    }
+
+    #[test]
+    fn cross_page_access_splits_bytes_between_the_pages() {
+        let mut m = Memory::new();
+        let addr = (3 << 12) - 3; // last 3 bytes of page 2
+        m.write_bytes(addr, 0x8877_6655_4433_2211, 8);
+        for i in 0..8u64 {
+            assert_eq!(m.read_u8(addr + i), 0x11 * (i as u8 + 1), "byte {i}");
+        }
+        // Each page alone holds only its own part of the word.
+        assert_eq!(m.read_bytes(addr, 3), 0x33_2211);
+        assert_eq!(m.read_bytes(3 << 12, 5), 0x88_7766_5544);
+        assert_eq!(m.read_u8((3 << 12) - 4), 0);
+        assert_eq!(m.read_u8((3 << 12) + 5), 0);
+    }
+
+    #[test]
+    fn a_clone_is_unaffected_by_later_stores_to_the_original() {
+        let mut m = Memory::new();
+        m.write_u64(0x1000, 1);
+        m.write_u64(0x5000, 2);
+        assert_eq!(m.read_u64(0x5000), 2);
+        let snapshot = m.clone();
+        m.write_u64(0x5000, 20);
+        m.write_u64(0x1000, 10);
+        m.write_u64(0x9000, 30);
+        m.write_bytes((2 << 12) - 4, u64::MAX, 8);
+        assert_eq!((snapshot.read_u64(0x1000), snapshot.read_u64(0x5000)), (1, 2));
+        assert_eq!(snapshot.read_u64(0x9000), 0);
+        assert_eq!(snapshot.read_bytes((2 << 12) - 4, 8), 0);
+        assert_eq!(snapshot.page_count(), 2);
+        // And the other way round: stores to the clone leave the
+        // original alone.
+        let mut copy = m.clone();
+        copy.write_u64(0x5000, 99);
+        assert_eq!(m.read_u64(0x5000), 20);
     }
 
     #[test]

@@ -1,4 +1,6 @@
-use rvp_emu::{Committed, EmuError, Emulator};
+use std::collections::hash_map::Entry;
+
+use rvp_emu::{Committed, EmuError, Emulator, U64Map};
 use rvp_isa::analysis::{Liveness, RegSet};
 use rvp_isa::cfg::Cfg;
 use rvp_isa::{Program, Reg, NUM_REGS};
@@ -90,6 +92,57 @@ impl Fig1Row {
     }
 }
 
+/// The profiler's copy of the architectural register file, replayed
+/// from the committed stream's writes.
+trait ShadowRegs {
+    /// The register file at program start: every register zero except
+    /// the stack pointer, which holds [`rvp_emu::STACK_TOP`].
+    fn initial() -> Self;
+
+    /// Writes `value` into register `reg` (a dense index) and returns
+    /// the mask of registers that held `value` just before the write.
+    fn write(&mut self, reg: usize, value: u64) -> u64;
+}
+
+/// A [`ShadowRegs`] that indexes registers by value: a map from each
+/// value held anywhere in the register file to the mask of registers
+/// holding it, so asking who holds a value is one lookup rather than a
+/// compare against all 64 registers. The map never has more than 64
+/// entries.
+struct ValueIndex {
+    regs: [u64; NUM_REGS],
+    holders: U64Map<u64>,
+}
+
+impl ShadowRegs for ValueIndex {
+    fn initial() -> ValueIndex {
+        let sp = rvp_isa::analysis::abi::SP.index();
+        let mut regs = [0u64; NUM_REGS];
+        regs[sp] = rvp_emu::STACK_TOP;
+        let mut holders = U64Map::default();
+        holders.insert(0, !(1u64 << sp));
+        holders.insert(rvp_emu::STACK_TOP, 1u64 << sp);
+        ValueIndex { regs, holders }
+    }
+
+    fn write(&mut self, reg: usize, value: u64) -> u64 {
+        let bit = 1u64 << reg;
+        let old = std::mem::replace(&mut self.regs[reg], value);
+        if old != value {
+            if let Entry::Occupied(mut e) = self.holders.entry(old) {
+                *e.get_mut() &= !bit;
+                if *e.get() == 0 {
+                    e.remove();
+                }
+            }
+        }
+        let mask = self.holders.entry(value).or_insert(0);
+        let before = *mask;
+        *mask |= bit;
+        before
+    }
+}
+
 /// A completed register-reuse profile of one program run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Profile {
@@ -130,6 +183,15 @@ impl Profile {
         config: &ProfileConfig,
         stream: impl IntoIterator<Item = Result<Committed, E>>,
     ) -> Result<Profile, E> {
+        Profile::collect_with::<ValueIndex, E>(program, config, stream)
+    }
+
+    /// [`Profile::collect_stream`] over any shadow register file.
+    fn collect_with<R: ShadowRegs, E>(
+        program: &Program,
+        config: &ProfileConfig,
+        stream: impl IntoIterator<Item = Result<Committed, E>>,
+    ) -> Result<Profile, E> {
         let n = program.len();
         let mut stats: Vec<InstStats> = (0..n).map(|_| InstStats::new()).collect();
 
@@ -151,8 +213,7 @@ impl Profile {
             }
         }
 
-        let mut shadow = [0u64; NUM_REGS];
-        shadow[rvp_isa::analysis::abi::SP.index()] = rvp_emu::STACK_TOP;
+        let mut regs = R::initial();
         let mut last_value: Vec<Option<u64>> = vec![None; n];
         let mut last_stride: Vec<i64> = vec![0; n];
         let mut last_writer: [u32; NUM_REGS] = [u32::MAX; NUM_REGS];
@@ -202,13 +263,9 @@ impl Profile {
                 }
                 last_value[c.pc] = Some(new);
 
-                // Branch-free pre-pass over the register file (the
-                // compiler vectorizes this); the per-register work below
-                // then runs only for actual matches.
-                let mut match_mask = 0u64;
-                for (i, &held) in shadow.iter().enumerate() {
-                    match_mask |= u64::from(held == new) << i;
-                }
+                // The registers that held the value just before this
+                // write; the per-register work below runs only for them.
+                let match_mask = regs.write(dst.index(), new);
                 let any = match_mask != 0;
                 let mut dead_hit = false;
                 let mut m = match_mask;
@@ -250,8 +307,6 @@ impl Profile {
                     }
                 }
 
-                // Apply architectural update.
-                shadow[dst.index()] = new;
                 last_writer[dst.index()] = c.pc as u32;
                 depth[dst.index()] = max_depth + 1;
             }
@@ -327,7 +382,114 @@ impl Profile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rvp_isa::ProgramBuilder;
+
+    /// The reference the value index is checked against: compare the
+    /// value against every register.
+    struct ScanRegs([u64; NUM_REGS]);
+
+    impl ShadowRegs for ScanRegs {
+        fn initial() -> ScanRegs {
+            let mut regs = [0u64; NUM_REGS];
+            regs[rvp_isa::analysis::abi::SP.index()] = rvp_emu::STACK_TOP;
+            ScanRegs(regs)
+        }
+
+        fn write(&mut self, reg: usize, value: u64) -> u64 {
+            let mut mask = 0u64;
+            for (i, &held) in self.0.iter().enumerate() {
+                mask |= u64::from(held == value) << i;
+            }
+            self.0[reg] = value;
+            mask
+        }
+    }
+
+    /// Values a register write may carry: the zero registers' value,
+    /// the initial stack pointer, a few small integers that collide
+    /// often, and arbitrary words.
+    fn value() -> impl Strategy<Value = u64> {
+        prop_oneof![Just(0u64), Just(rvp_emu::STACK_TOP), 1u64..8, any::<u64>()]
+    }
+
+    /// A writable (non-zero) register, by dense index.
+    fn writable_reg() -> impl Strategy<Value = usize> {
+        (0usize..NUM_REGS)
+            .prop_filter("zero registers are never written", |&i| !Reg::from_index(i).is_zero())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        #[test]
+        fn value_index_answers_like_the_register_scan(
+            writes in proptest::collection::vec((writable_reg(), value()), 1..400),
+        ) {
+            let (mut index, mut scan) = (ValueIndex::initial(), ScanRegs::initial());
+            for &(reg, v) in &writes {
+                prop_assert_eq!(index.write(reg, v), scan.write(reg, v));
+            }
+            // Every value still held is indexed exactly.
+            for &v in scan.0.iter() {
+                let mask = scan.0.iter().enumerate().fold(0u64, |m, (i, &h)| m | u64::from(h == v) << i);
+                prop_assert_eq!(index.holders.get(&v).copied(), Some(mask));
+            }
+            prop_assert!(index.holders.len() <= NUM_REGS);
+        }
+
+        #[test]
+        fn value_index_profiles_streams_like_the_register_scan(
+            steps in proptest::collection::vec((0usize..6, writable_reg(), value()), 1..600),
+        ) {
+            let (p, v, n) = (Reg::int(1), Reg::int(2), Reg::int(3));
+            let mut b = ProgramBuilder::new();
+            b.li(p, 0x1000).li(n, 4);
+            b.ld(v, p, 0);
+            b.addi(p, p, 8);
+            b.subi(n, n, 1);
+            b.halt();
+            let program = b.build().unwrap();
+            let mut old = ScanRegs::initial();
+            let records: Vec<Committed> = steps
+                .iter()
+                .enumerate()
+                .map(|(seq, &(pc, reg, new_value))| {
+                    let old_value = old.0[reg];
+                    old.0[reg] = new_value;
+                    Committed {
+                        seq: seq as u64,
+                        pc,
+                        next_pc: pc + 1,
+                        dst: Some(Reg::from_index(reg)),
+                        old_value,
+                        new_value,
+                        eff_addr: None,
+                        taken: None,
+                    }
+                })
+                .collect();
+            let cfg = ProfileConfig::default();
+            let stream = || records.iter().map(|&c| Ok::<_, ()>(c));
+            let index = Profile::collect_stream(&program, &cfg, stream()).unwrap();
+            let scan = Profile::collect_with::<ScanRegs, ()>(&program, &cfg, stream()).unwrap();
+            prop_assert!(index == scan, "value index and register scan profiles differ");
+        }
+    }
+
+    #[test]
+    fn value_index_profiles_every_train_program_like_the_register_scan() {
+        let cfg = ProfileConfig { max_insts: 200_000, min_execs: 32 };
+        for wl in rvp_workloads::all() {
+            let program = wl.program(rvp_workloads::Input::Train);
+            let index = Profile::collect(&program, &cfg).unwrap();
+            let mut emu = Emulator::new(&program);
+            let stream = std::iter::from_fn(move || emu.step().transpose());
+            let scan = Profile::collect_with::<ScanRegs, _>(&program, &cfg, stream).unwrap();
+            assert_eq!(index.committed(), scan.committed(), "{}", wl.name());
+            assert!(index == scan, "{}: value index and register scan profiles differ", wl.name());
+        }
+    }
 
     #[test]
     fn same_register_reuse_is_measured() {

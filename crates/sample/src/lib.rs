@@ -19,9 +19,10 @@
 //!    projected vectors with a BIC-guided choice of k; one
 //!    representative interval per cluster, weighted by how many
 //!    instructions its cluster covers.
-//! 3. [`windows`] — a second streaming pass extracts just the
-//!    representative intervals (plus a functional-warmup prefix each)
-//!    into shareable in-memory trace columns.
+//! 3. [`windows`] — the representative intervals (plus a
+//!    functional-warmup prefix each) are cut into shareable in-memory
+//!    trace columns, resuming from emulator [`Checkpoints`] the BBV
+//!    pass kept rather than re-emulating the stream from its head.
 //! 4. [`combine`] — per-interval detailed [`rvp_uarch::SimStats`] are
 //!    folded into a weighted whole-run estimate whose CPI stack still
 //!    sums exactly to its cycle count.
@@ -42,4 +43,4 @@ pub use bbv::{BbvConfig, BbvProfile, BbvProfiler};
 pub use combine::combine_weighted;
 pub use kmeans::{choose_k, kmeans, Kmeans};
 pub use plan::{RepInterval, SamplePlan, SampleSpec};
-pub use windows::{extract_windows, SampleWindow};
+pub use windows::{extract_windows, Checkpoints, SampleWindow, CANCEL_CHECK_MASK};

@@ -3,11 +3,12 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::SystemTime;
 
 use rvp_isa::Program;
 use rvp_obs::log;
 
-use crate::durable::BudgetDir;
+use crate::durable::{evict_lru, BudgetDir};
 use crate::format::{TraceError, TraceMeta};
 use crate::reader::TraceReader;
 use crate::writer::capture;
@@ -72,7 +73,8 @@ impl StoreCounters {
 /// open or mid-read, counts as a miss and triggers a fresh capture over
 /// the live emulator ([`TraceStore::read_or_capture`]). The offending
 /// file is *moved* into `dir/quarantine/` first, so a corrupt entry is
-/// preserved for diagnosis but can never be opened again.
+/// preserved for diagnosis but can never be opened again; only the
+/// newest [`QUARANTINE_KEEP`] quarantined files are kept.
 #[derive(Debug, Clone)]
 pub struct TraceStore {
     /// Governs `*.rvpt` entries and persisted sampling plans.
@@ -85,6 +87,12 @@ pub type StoreReader = TraceReader<std::io::BufReader<std::fs::File>>;
 
 /// Subdirectory rejected cache entries are moved into.
 pub const QUARANTINE_SUBDIR: &str = "quarantine";
+
+/// Quarantined files kept for postmortems. A read fault that is not in
+/// the bytes (a transient EIO, an injected one) quarantines a healthy
+/// trace on every run, so the oldest files beyond this many are deleted
+/// as new ones arrive.
+pub const QUARANTINE_KEEP: usize = 8;
 
 impl TraceStore {
     /// Creates a store rooted at `dir` (created if absent). Stale
@@ -227,9 +235,10 @@ impl TraceStore {
     }
 
     /// Moves a rejected cache file into the quarantine directory under a
-    /// unique name. Best-effort: when even the move fails the file is
-    /// deleted instead, because leaving it in place would let the next
-    /// open read the same bad bytes again.
+    /// unique name, then deletes the oldest quarantined files beyond
+    /// [`QUARANTINE_KEEP`]. Best-effort: when even the move fails the
+    /// file is deleted instead, because leaving it in place would let
+    /// the next open read the same bad bytes again.
     fn quarantine(&self, path: &Path, error: &TraceError) {
         if !path.exists() {
             return;
@@ -243,7 +252,9 @@ impl TraceStore {
         let name = path.file_name().map_or_else(|| "trace".into(), |s| s.to_string_lossy());
         let dest = qdir.join(format!("{name}.{}.q{n}", std::process::id()));
         let moved = std::fs::rename(path, &dest);
-        if moved.is_err() {
+        if moved.is_ok() {
+            prune_quarantine(&qdir, &dest);
+        } else {
             let _ = std::fs::remove_file(path);
         }
         log::warn(
@@ -286,6 +297,22 @@ impl TraceStore {
     pub fn disk_bytes(&self) -> u64 {
         self.dir.disk_bytes()
     }
+}
+
+/// Deletes the oldest files of the quarantine directory `qdir` beyond
+/// [`QUARANTINE_KEEP`], never `newest`, the file just moved in. A
+/// rename keeps the trace's own mtime, so `newest` is stamped with the
+/// time it arrived first.
+fn prune_quarantine(qdir: &Path, newest: &Path) {
+    let _ = std::fs::File::open(newest).and_then(|f| f.set_modified(SystemTime::now()));
+    let files = std::fs::read_dir(qdir).into_iter().flatten().filter_map(|entry| {
+        let entry = entry.ok()?;
+        Some((entry.metadata().ok()?.modified().ok()?, entry.path(), 1))
+    });
+    let keep = newest.to_path_buf();
+    evict_lru("trace.quarantine", files.collect(), QUARANTINE_KEEP as u64, &keep, |path| {
+        std::fs::remove_file(path).is_ok()
+    });
 }
 
 /// First field on which two keys differ, if any.

@@ -443,6 +443,22 @@ fn trace_failing_mid_read_is_quarantined_and_read_once_more() {
     assert!(matches!(failed, Err(TraceError::Unfinished)), "got {failed:?}");
     assert_eq!(reads, 2);
     assert_eq!(store.counters().quarantined(), 2);
+
+    // A fault that is not in the bytes quarantines a healthy trace on
+    // every read; the directory keeps only the newest few of them.
+    let runs = rvp_trace::QUARANTINE_KEEP + 3;
+    for _ in 0..runs {
+        let failed = store.read_or_capture(&program, &meta, |_| -> Result<(), TraceError> {
+            Err(TraceError::Unfinished)
+        });
+        assert!(failed.is_err());
+    }
+    assert_eq!(store.counters().quarantined(), 2 + runs as u64, "every rejection is counted");
+    let kept = std::fs::read_dir(store.quarantine_dir()).expect("quarantine dir").count();
+    assert_eq!(kept, rvp_trace::QUARANTINE_KEEP, "the quarantine is capped");
+    // The store still serves the trace once reads succeed again.
+    let stream = store.read_or_capture(&program, &meta, read_all).expect("clean read");
+    assert_eq!(stream, emulated_stream(&program, 1 << 20));
 }
 
 #[test]
