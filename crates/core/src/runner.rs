@@ -1,3 +1,4 @@
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hasher;
@@ -52,9 +53,10 @@ impl ToJson for RunResult {
 }
 
 /// Cache key for a collected profile: (workload, input, instruction
-/// budget, workload scale). The program itself is a pure function of
-/// (workload, input, scale), so it needs no separate key component.
-type ProfileKey = (&'static str, Input, u64, u64);
+/// budget, workload scale, [`program_hash`] of a transformed program).
+/// The workload's own program is a pure function of (workload, input,
+/// scale), so only a transformation of it needs the hash.
+type ProfileKey = (&'static str, Input, u64, u64, Option<u64>);
 
 /// A thread-safe memo of collected [`Profile`]s, shared by clones of a
 /// [`Runner`].
@@ -432,13 +434,38 @@ impl Runner {
         Ok(())
     }
 
-    /// The train-input profile used by every profile-guided scheme,
-    /// memoized in [`Runner::profiles`] (and served from the trace cache
-    /// when one is configured).
-    fn train_profile_for(&self, wl: &Workload, train: &Program) -> Result<Arc<Profile>, SimError> {
-        let key = (wl.name(), Input::Train, self.profile_insts, self.workload_scale);
+    /// The profile of `wl`'s program on `input`, or of `transformed` (a
+    /// transformation of that program, such as a register reallocation),
+    /// over [`Runner::profile_insts`] committed instructions. It is
+    /// memoized in [`Runner::profiles`] and served from the trace cache
+    /// when one is configured; the train program's profile is the one
+    /// every profile-guided scheme plans from.
+    ///
+    /// # Errors
+    ///
+    /// Propagates emulator errors from the profiling run.
+    pub fn profile(
+        &self,
+        wl: &Workload,
+        input: Input,
+        transformed: Option<&Program>,
+    ) -> Result<Arc<Profile>, SimError> {
+        self.memo_profile(wl, input, transformed, self.profile_insts)
+    }
+
+    /// [`Runner::profile`] over `budget` committed instructions.
+    fn memo_profile(
+        &self,
+        wl: &Workload,
+        input: Input,
+        transformed: Option<&Program>,
+        budget: u64,
+    ) -> Result<Arc<Profile>, SimError> {
+        let key = (wl.name(), input, budget, self.workload_scale, transformed.map(program_hash));
         self.profiles.get_or_try_init(key, || {
-            self.collect_profile(wl.name(), Input::Train, train, self.profile_insts).map(Arc::new)
+            let program =
+                transformed.map_or_else(|| Cow::Owned(self.program_for(wl, input)), Cow::Borrowed);
+            self.collect_profile(wl.name(), input, &program, budget).map(Arc::new)
         })
     }
 
@@ -561,7 +588,7 @@ impl Runner {
             });
         }
         let profile =
-            if scheme.needs_profile() { Some(self.train_profile_for(wl, &train)?) } else { None };
+            if scheme.needs_profile() { Some(self.profile(wl, Input::Train, None)?) } else { None };
 
         let mut sim_scheme = match scheme.build_predictor() {
             Some(p) => Scheme::new(scheme.label().to_owned(), info.scope, p),
@@ -812,8 +839,7 @@ impl Runner {
     ///
     /// Propagates emulator errors from the profiling run.
     pub fn prewarm_profile(&self, wl: &Workload) -> Result<(), SimError> {
-        let train = self.program_for(wl, Input::Train);
-        self.train_profile_for(wl, &train).map(drop)
+        self.profile(wl, Input::Train, None).map(drop)
     }
 
     /// Figure 1 measurement: register-value reuse of loads on the ref
@@ -823,12 +849,7 @@ impl Runner {
     ///
     /// Propagates emulator errors.
     pub fn fig1(&self, wl: &Workload) -> Result<Fig1Row, SimError> {
-        let program = self.program_for(wl, Input::Ref);
-        let key = (wl.name(), Input::Ref, self.measure_insts, self.workload_scale);
-        let profile = self.profiles.get_or_try_init(key, || {
-            self.collect_profile(wl.name(), Input::Ref, &program, self.measure_insts).map(Arc::new)
-        })?;
-        Ok(profile.fig1())
+        Ok(self.memo_profile(wl, Input::Ref, None, self.measure_insts)?.fig1())
     }
 }
 
@@ -1120,7 +1141,7 @@ mod tests {
             let name = wl.name();
             let base = r.program_for(&wl, Input::Ref);
             let train = r.program_for(&wl, Input::Train);
-            let profile = r.train_profile_for(&wl, &train).unwrap();
+            let profile = r.profile(&wl, Input::Train, None).unwrap();
             let marked = mark_rvp_loads(&base, &profile.static_plan(&train, r.threshold, level));
             let reallocated = reallocate(&base, &profile, &r.realloc_options()).program;
 

@@ -85,37 +85,6 @@ fn fig1_categories_are_cumulative_everywhere() {
     }
 }
 
-/// The paper's headline orderings, averaged over the suite.
-#[test]
-fn paper_shapes_hold_on_average() {
-    let r = quick_runner();
-    let speedup = |label: &str| -> (f64, f64) {
-        let scheme = SchemeSpec::parse(label).unwrap();
-        let base_scheme = SchemeSpec::parse("no_predict").unwrap();
-        let mut ipcs = Vec::new();
-        let mut covs = Vec::new();
-        for wl in rvp_core::all_workloads() {
-            let base = r.run(&wl, &base_scheme).unwrap();
-            let res = r.run(&wl, &scheme).unwrap();
-            ipcs.push(res.stats.ipc() / base.stats.ipc());
-            covs.push(res.stats.coverage());
-        }
-        (ipcs.iter().sum::<f64>() / ipcs.len() as f64, covs.iter().sum::<f64>() / covs.len() as f64)
-    };
-    let (drvp, drvp_cov) = speedup("drvp_all");
-    let (dead_lv, dead_lv_cov) = speedup("drvp_all_dead_lv");
-    let (grp, grp_cov) = speedup("Grp_all");
-
-    // Dynamic RVP gains a few percent on average.
-    assert!(drvp > 1.02, "drvp_all average speedup {drvp:.4}");
-    // Compiler assistance adds coverage and performance.
-    assert!(dead_lv_cov > drvp_cov, "{dead_lv_cov:.3} !> {drvp_cov:.3}");
-    assert!(dead_lv >= drvp - 1e-9, "{dead_lv:.4} !>= {drvp:.4}");
-    // The Gabbay register predictor trails PC-indexed dRVP in coverage.
-    assert!(grp_cov < drvp_cov, "G&M coverage {grp_cov:.3} !< {drvp_cov:.3}");
-    assert!(grp <= dead_lv + 1e-9);
-}
-
 /// Static marking writes `rvp_` opcodes into the program text.
 #[test]
 fn static_marking_is_visible_in_the_disassembly() {
@@ -128,27 +97,6 @@ fn static_marking_is_visible_in_the_disassembly() {
     let marked =
         train.map_insts(|pc, i| if plan.contains(pc) { i.clone().with_rvp() } else { i.clone() });
     assert!(marked.disassemble().contains("rvp_ld"));
-}
-
-/// The 16-wide machine amplifies value prediction (Figure 8's point).
-#[test]
-fn wide_machine_amplifies_rvp() {
-    let narrow = quick_runner();
-    let wide = Runner {
-        config: rvp_core::UarchConfig::wide16(),
-        profile_insts: 200_000,
-        measure_insts: 100_000,
-        ..Runner::default()
-    };
-    let wl = rvp_core::by_name("m88ksim").unwrap();
-    let gain = |r: &Runner| {
-        let base = r.run(&wl, &SchemeSpec::parse("no_predict").unwrap()).unwrap();
-        let rvp = r.run(&wl, &SchemeSpec::parse("drvp_all_dead_lv").unwrap()).unwrap();
-        rvp.stats.ipc() / base.stats.ipc()
-    };
-    let g_narrow = gain(&narrow);
-    let g_wide = gain(&wide);
-    assert!(g_wide > g_narrow, "wide gain {g_wide:.4} !> narrow gain {g_narrow:.4}");
 }
 
 /// Every workload round-trips through the textual assembler: parse(to_asm)
