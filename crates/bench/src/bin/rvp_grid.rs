@@ -37,9 +37,9 @@
 //! per cell) tractable. A sampled sweep prewarms each workload's
 //! sampling plan, windows and train profile instead of its trace, on
 //! any source, and reads no full trace. Sampled cells land in
-//! `<workload>-<scheme>.sampled.json` files and the manifest
-//! fingerprint covers both knobs, so sampled and detailed sweeps never
-//! resume into each other.
+//! `<workload>-<scheme>.sampled.json` files and both knobs are part of
+//! the cell key, so sampled and detailed sweeps never resume into each
+//! other.
 //! `--trace-out` arms the span tracer for the whole run and writes the
 //! collected spans (prewarm, schedule, per-cell run/attempt/write, and
 //! the simulator's phase spans) to FILE: Chrome trace-event JSON by
@@ -48,11 +48,16 @@
 //!
 //! ## Crash safety and containment
 //!
-//! Every cell JSON and the summary are written atomically (temp file +
-//! fsync + rename), and each completed cell is journaled — durably,
-//! with a checksum — into `OUT_DIR/grid_manifest.jsonl` as it lands.
-//! After a crash or SIGKILL, `--resume` re-verifies the journal against
-//! the bytes on disk and re-runs only the missing cells. A cell that
+//! Each completed cell is published, as it lands, to the cell store in
+//! `OUT_DIR/cache/` ([`ResultCache`]: one checksummed entry per
+//! [`Runner::cell_key`](rvp_core::Runner::cell_key)) and exported as
+//! `OUT_DIR/<workload>-<scheme>.json`; both writes and the summary are
+//! atomic (temp file + fsync + rename). After a crash or SIGKILL,
+//! `--resume` looks every planned cell up in the store, exports each
+//! hit whose bytes verify and re-runs the rest — so it also reuses the
+//! cells of a sweep over other schemes or on another source, and
+//! re-runs any cell whose knobs (`--metrics-out` included) changed.
+//! Without `--resume` the store is written, never read. A cell that
 //! fails is contained, not fatal: panics are caught, a `--cell-timeout`
 //! watchdog bounds hangs, transient I/O faults are retried (up to
 //! `--retries` extra attempts with backoff), and a still-failing cell
@@ -80,20 +85,21 @@
 //! Failures and cache counters are also emitted as structured events
 //! through the `RVP_LOG` facade.
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use rvp_bench::cache::ResultCache;
 use rvp_bench::executor::{CostModel, Executor};
 use rvp_bench::grid::{
-    grid_config_fnv, load_manifest, run_one_cell, verify_manifest_cell, write_atomic, write_cell,
-    CellOptions, CellRun, CellSuccess, GridCell, Manifest, ManifestCell, PoisonedCell,
+    cell_file_name, run_one_cell, write_atomic, write_cell, CellOptions, CellRun, CellSuccess,
+    GridCell, PoisonedCell,
 };
 use rvp_bench::runner_from_env;
 use rvp_core::{
-    all_workloads, by_name_or_err, fatal, log, paper_schemes, CancelToken, Json, ObsConfig,
+    all_workloads, by_name_or_err, fatal, log, paper_schemes, CancelToken, Json, ObsConfig, Runner,
     SampleSpec, SchemeSpec, SourceMode, ToJson, Workload, EXIT_CONFIG, EXIT_IO, EXIT_POISONED,
     EXIT_USAGE,
 };
@@ -122,23 +128,46 @@ fn usage() -> ExitCode {
 /// read back by the next run's longest-job-first schedule.
 const SUMMARY_FILE: &str = "grid_summary.json";
 
-/// Seeds `costs` with the per-cell wall times of a previous run's
-/// summary, if any, each measured at `budget` instructions.
-fn seed_costs(costs: &CostModel, out_dir: &Path, budget: u64) {
-    let Ok(text) = std::fs::read_to_string(out_dir.join(SUMMARY_FILE)) else { return };
+/// The per-cell wall times of a previous run's summary, if any, by
+/// label.
+fn prior_cell_seconds(out_dir: &Path) -> HashMap<String, f64> {
+    let Ok(text) = std::fs::read_to_string(out_dir.join(SUMMARY_FILE)) else {
+        return HashMap::new();
+    };
     let Ok(json) = Json::parse(&text) else {
         log::warn(
             "rvp-grid",
             "unreadable prior grid summary; scheduling from instruction budgets",
             &[("path", out_dir.join(SUMMARY_FILE).display().to_string().into())],
         );
-        return;
+        return HashMap::new();
     };
-    for (label, secs) in json.get("cell_seconds").and_then(Json::as_obj).into_iter().flatten() {
-        if let Some(secs) = secs.as_f64() {
-            costs.observe(label, budget, secs);
-        }
-    }
+    let cells = json.get("cell_seconds").and_then(Json::as_obj).into_iter().flatten();
+    cells.filter_map(|(label, secs)| Some((label.clone(), secs.as_f64()?))).collect()
+}
+
+/// Restores `cell` from the store for `--resume`: its verified bytes,
+/// exported to `out_dir`. `None` — run the cell — on a miss, an entry
+/// that failed its checksum, or an export that failed.
+fn restore(
+    store: &ResultCache,
+    runner: &Runner,
+    out_dir: &Path,
+    cell: &GridCell,
+    prior: &HashMap<String, f64>,
+) -> Option<CellSuccess> {
+    let text = store.get(runner.cell_key(&cell.workload, &cell.scheme)).ok()??;
+    let committed = Json::parse(&text).ok()?.get("stats")?.get("committed")?.as_u64()?;
+    let file = cell_file_name(cell.workload.name(), cell.scheme.label(), runner.sampling.is_some());
+    write_atomic(&out_dir.join(file), text.as_bytes()).ok()?;
+    let label = cell.label();
+    Some(CellSuccess {
+        seconds: prior.get(&label).copied(),
+        label,
+        result: None,
+        committed,
+        retries: 0,
+    })
 }
 
 fn main() -> ExitCode {
@@ -290,53 +319,38 @@ fn main() -> ExitCode {
         })
         .collect();
 
-    // Resume: re-verify the journal of the crashed/killed run against
-    // the bytes on disk and lift anything that checks out straight into
-    // this run's results.
-    let config_fnv = grid_config_fnv(&workloads, &schemes, &runner);
-    let mut kept: Vec<ManifestCell> = Vec::new();
-    if resume {
-        let planned: HashSet<String> = cells.iter().map(GridCell::label).collect();
-        for cell in load_manifest(&out_dir, config_fnv) {
-            if !planned.contains(&cell.label) {
-                continue;
-            }
-            if verify_manifest_cell(&out_dir, &cell) {
-                kept.push(cell);
-            } else {
-                log::warn(
-                    "rvp-grid",
-                    "journaled cell failed verification; re-running it",
-                    &[("cell", cell.label.as_str().into()), ("file", cell.file.as_str().into())],
-                );
-            }
-        }
-        let done: HashSet<&str> = kept.iter().map(|c| c.label.as_str()).collect();
-        cells.retain(|c| !done.contains(c.label().as_str()));
-    }
-    let manifest = match Manifest::start(&out_dir, config_fnv, &kept) {
-        Ok(m) => m,
+    let store = match ResultCache::open(&out_dir) {
+        Ok(store) => Arc::new(store),
         Err(e) => {
             return fatal(
                 "rvp-grid",
-                "cannot start run manifest",
+                "cannot open the cell store",
                 EXIT_IO,
-                &[
-                    (
-                        "path",
-                        out_dir.join(rvp_bench::grid::MANIFEST_FILE).display().to_string().into(),
-                    ),
-                    ("error", e.to_string().into()),
-                ],
+                &[("dir", out_dir.display().to_string().into()), ("error", e.to_string().into())],
             );
         }
     };
+    // Resume: export every planned cell the store holds, verified, and
+    // run the rest.
+    let prior = prior_cell_seconds(&out_dir);
+    let mut restored: Vec<CellSuccess> = Vec::new();
+    if resume {
+        cells.retain(|cell| match restore(&store, &runner, &out_dir, cell, &prior) {
+            Some(done) => {
+                restored.push(done);
+                false
+            }
+            None => true,
+        });
+    }
 
     let budget = runner.measure_insts;
     let costs = CostModel::default();
     let known = {
         let mut span = rvp_core::span!("grid.schedule", { cells: cells.len() });
-        seed_costs(&costs, &out_dir, budget);
+        for (label, secs) in &prior {
+            costs.observe(label, budget, *secs);
+        }
         let known = cells.iter().filter(|c| costs.knows(&c.label())).count();
         span.add_field("known", known);
         known
@@ -347,7 +361,7 @@ fn main() -> ExitCode {
         "rvp-grid: {} workloads x {} schemes = {} cells on {} threads ({} source) -> {}",
         workloads.len(),
         schemes.len(),
-        cells.len() + kept.len(),
+        cells.len() + restored.len(),
         workers,
         runner.source_mode.name(),
         out_dir.display()
@@ -363,11 +377,18 @@ fn main() -> ExitCode {
         println!("workload scale: x{}", runner.workload_scale);
     }
     if resume {
-        println!("resume: {} cells verified from the manifest, {} to run", kept.len(), cells.len());
+        println!(
+            "resume: {} cells restored from the cell store, {} to run",
+            restored.len(),
+            cells.len()
+        );
         log::info(
             "rvp-grid",
-            "resuming from manifest",
-            &[("verified", (kept.len() as u64).into()), ("remaining", (cells.len() as u64).into())],
+            "resuming from the cell store",
+            &[
+                ("restored", (restored.len() as u64).into()),
+                ("remaining", (cells.len() as u64).into()),
+            ],
         );
     }
     println!(
@@ -380,14 +401,15 @@ fn main() -> ExitCode {
     let runner = Arc::new(runner);
     let successes: Arc<Mutex<Vec<CellSuccess>>> = Arc::default();
     let poisoned: Arc<Mutex<Vec<PoisonedCell>>> = Arc::default();
-    // Prewarm tasks report nothing; a cell reports its run, which the
-    // completion makes durable inside its still-open `grid.cell.run` span.
+    // Prewarm tasks report nothing; a cell reports its store key and
+    // its run, which the completion makes durable inside its still-open
+    // `grid.cell.run` span.
     let exec = {
-        let (out_dir, successes, poisoned) =
-            (out_dir.clone(), Arc::clone(&successes), Arc::clone(&poisoned));
-        let on_done = move |run: Option<Result<CellRun, _>>, _: Vec<()>| {
-            let Some(run) = run else { return };
-            match run.and_then(|run| record_cell(&out_dir, &manifest, run, opts)) {
+        let (out_dir, store, successes, poisoned) =
+            (out_dir.clone(), Arc::clone(&store), Arc::clone(&successes), Arc::clone(&poisoned));
+        let on_done = move |run: Option<(u64, Result<CellRun, _>)>, _: Vec<()>| {
+            let Some((key, run)) = run else { return };
+            match run.and_then(|run| record_cell(&store, key, &out_dir, run, opts)) {
                 Ok(done) => successes.lock().expect("successes lock").push(done),
                 Err(p) => poisoned.lock().expect("poisoned lock").push(p),
             }
@@ -399,7 +421,7 @@ fn main() -> ExitCode {
     // sampling plan, windows and train profile — up front, in parallel,
     // so the cell fan-out below is pure timing simulation and no cell
     // waits on a peer (a no-op for a detailed sweep on the live source,
-    // and skipped for workloads fully restored from the manifest). A
+    // and skipped for workloads fully restored from the store). A
     // failed prewarm is not fatal: the cell itself will retry or fall
     // back and report properly.
     let pending: Vec<&Workload> = workloads
@@ -452,7 +474,8 @@ fn main() -> ExitCode {
     exec.submit(cells.into_iter().enumerate().map(|(i, cell)| {
         let runner = Arc::clone(&runner);
         let cost = exec.costs().estimate(&cell.label(), budget);
-        (i as u64, cost, (), move |_: &CancelToken| Some(run_one_cell(&runner, &cell, opts)))
+        let key = runner.cell_key(&cell.workload, &cell.scheme);
+        (i as u64, cost, (), move |_: &CancelToken| Some((key, run_one_cell(&runner, &cell, opts))))
     }));
     exec.wait_idle();
     exec.shutdown();
@@ -460,23 +483,13 @@ fn main() -> ExitCode {
     let elapsed = start.elapsed();
     let mut successes = std::mem::take(&mut *successes.lock().expect("successes lock"));
     let mut poisoned = std::mem::take(&mut *poisoned.lock().expect("poisoned lock"));
-    // The cells restored from the manifest count as completed work.
-    successes.extend(kept.iter().map(|c| CellSuccess {
-        label: c.label.clone(),
-        result: None,
-        committed: c.committed,
-        file: c.file.clone(),
-        file_fnv: c.file_fnv,
-        seconds: c.seconds,
-        retries: c.retries,
-        source: "manifest",
-        resumed: true,
-    }));
+    // The cells restored from the store count as completed work.
+    let resumed_cells = restored.len();
+    successes.extend(restored);
     successes.sort_by(|a, b| a.label.cmp(&b.label));
     poisoned.sort_by(|a, b| a.label.cmp(&b.label));
 
     let simulated: u64 = successes.iter().map(|s| s.committed).sum();
-    let resumed_cells = successes.iter().filter(|s| s.resumed).count();
     let total_retries: u64 = successes.iter().map(|s| s.retries).sum::<u64>()
         + poisoned.iter().map(|p| p.attempts.saturating_sub(1)).sum::<u64>();
     println!(
@@ -522,7 +535,12 @@ fn main() -> ExitCode {
         ("source_mode".into(), runner.source_mode.name().into()),
         (
             "cell_seconds".into(),
-            Json::Obj(successes.iter().map(|s| (s.label.clone(), s.seconds.into())).collect()),
+            Json::Obj(
+                successes
+                    .iter()
+                    .filter_map(|s| Some((s.label.clone(), s.seconds?.into())))
+                    .collect(),
+            ),
         ),
         (
             "trace_sources".into(),
@@ -630,15 +648,16 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Makes one simulated cell durable: its JSON file, then its manifest
-/// line.
+/// Makes one simulated cell durable in the store and the output
+/// directory, and prints its line.
 fn record_cell(
+    store: &ResultCache,
+    key: u64,
     out_dir: &Path,
-    manifest: &Manifest,
     run: CellRun,
     opts: CellOptions,
 ) -> Result<CellSuccess, PoisonedCell> {
-    let done = write_cell(out_dir, run, opts)?;
+    let done = write_cell(store, key, out_dir, run, opts)?;
     if let Some(result) = &done.result {
         println!(
             "  {:<28} ipc {:.3}  coverage {:5.1}%  accuracy {:5.1}%",
@@ -646,24 +665,6 @@ fn record_cell(
             result.stats.ipc(),
             100.0 * result.stats.coverage(),
             100.0 * result.stats.accuracy()
-        );
-    }
-    let journaled = ManifestCell {
-        label: done.label.clone(),
-        file: done.file.clone(),
-        file_fnv: done.file_fnv,
-        committed: done.committed,
-        seconds: done.seconds,
-        retries: done.retries,
-        source: done.source.to_owned(),
-    };
-    if let Err(e) = manifest.append(&journaled) {
-        // The cell JSON is durable; worst case a resume re-runs this
-        // one cell.
-        log::warn(
-            "rvp-grid",
-            "cannot journal cell",
-            &[("cell", done.label.as_str().into()), ("error", e.to_string().into())],
         );
     }
     Ok(done)

@@ -1,13 +1,17 @@
-//! Content-addressed result cache.
+//! The cell store: content-addressed, checksummed cell results, the one
+//! place `rvp-grid` (under `OUT_DIR/cache/`) and `rvp-serve` (under
+//! `STATE_DIR/cache/`) keep cells.
 //!
-//! One entry per simulated cell, keyed by the cell's config
-//! fingerprint ([`crate::spec::SweepSpec::cell_fingerprint`]) and
-//! stored as `cache/<key:016x>.json` — the exact bytes `rvp-grid`
-//! would have written for that cell — in an `rvp_trace::BudgetDir`:
-//! entries are published atomically, so a killed daemon leaves either a
-//! complete entry or none, and under a byte budget the least recently
-//! used are evicted after every write. A repeat request after restart
-//! hits disk instead of re-simulating; an evicted cell re-simulates.
+//! One entry per simulated cell, keyed by [`rvp_core::Runner::cell_key`]
+//! and stored as `cache/<key:016x>.json`: the FNV-1a of the cell bytes,
+//! a space, then the exact bytes `rvp-grid` exports for that cell
+//! ([`checksummed`]). The entries live in an `rvp_trace::BudgetDir`, so
+//! they are published atomically — a killed writer leaves either a
+//! complete entry or none — and under a byte budget the least recently
+//! used are evicted after every write. A lookup returns only bytes that
+//! match their checksum: an entry damaged or edited on disk is deleted
+//! and reported as a miss, so the cell re-simulates instead of serving
+//! a wrong result.
 
 use std::collections::HashMap;
 use std::io;
@@ -15,13 +19,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 
-use rvp_json::Json;
-use rvp_obs::log;
-use rvp_trace::BudgetDir;
+use rvp_core::{checksummed, log, verified, BudgetDir};
 
-pub use rvp_trace::DISK_FULL_SITE;
-
-/// Subdirectory of the daemon state dir holding cache entries.
+/// Subdirectory of a sweep's output or the daemon's state dir holding
+/// cache entries.
 pub const CACHE_SUBDIR: &str = "cache";
 
 /// Failpoint consulted on every disk read of a cache entry.
@@ -36,19 +37,16 @@ pub struct ResultCache {
 }
 
 impl ResultCache {
-    /// Opens (creating if needed) the cache under `state_dir`.
-    pub fn open(state_dir: &Path) -> io::Result<ResultCache> {
-        ResultCache::open_with_budget(state_dir, 0)
+    /// Opens (creating if needed) the cache under `root` (in its
+    /// [`CACHE_SUBDIR`]).
+    pub fn open(root: &Path) -> io::Result<ResultCache> {
+        ResultCache::open_with_budget(root, 0)
     }
 
     /// Opens the cache with a disk budget in bytes (`0` = unlimited).
-    pub fn open_with_budget(state_dir: &Path, budget_bytes: u64) -> io::Result<ResultCache> {
-        let dir = BudgetDir::open(
-            state_dir.join(CACHE_SUBDIR),
-            budget_bytes,
-            &[("", "json")],
-            "serve.results",
-        )?;
+    pub fn open_with_budget(root: &Path, budget_bytes: u64) -> io::Result<ResultCache> {
+        let governed = &[("", "json")];
+        let dir = BudgetDir::open(root.join(CACHE_SUBDIR), budget_bytes, governed, "cell.store")?;
         Ok(ResultCache { dir, mem: Mutex::new(HashMap::new()) })
     }
 
@@ -69,60 +67,60 @@ impl ResultCache {
     }
 
     /// Looks a key up: memory first, then disk (the `serve.cache.read`
-    /// failpoint guards the disk path). A disk entry that no longer
-    /// parses as JSON is deleted and reported as a miss — the cell
-    /// simply gets re-simulated — so one corrupt file can never pin a
-    /// bad result. An I/O error (injected or real) propagates; the
-    /// caller turns it into a structured 5xx.
+    /// failpoint guards the disk path). A disk entry whose bytes fail
+    /// their checksum is deleted and reported as a miss — the cell
+    /// simply gets re-simulated — so one damaged or edited file can
+    /// never serve a wrong result. An I/O error (injected or real)
+    /// propagates; the daemon turns it into a structured 5xx.
     pub fn get(&self, key: u64) -> io::Result<Option<Arc<str>>> {
-        if let Some(hit) = self.mem.lock().unwrap().get(&key) {
+        if let Some(hit) = self.mem.lock().expect("result cache lock poisoned").get(&key) {
             return Ok(Some(Arc::clone(hit)));
         }
         rvp_fail::io_at(CACHE_READ_SITE)?;
         let path = self.path_for(key);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
+        let bytes = match std::fs::read(&path) {
+            Ok(bytes) => bytes,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e),
         };
-        if Json::parse(&text).is_err() {
+        let Some(text) = std::str::from_utf8(&bytes).ok().and_then(verified) else {
             log::warn(
-                "rvp-serve",
-                "corrupt cache entry; deleting and re-simulating",
+                "rvp_bench::cache",
+                "cache entry fails its checksum; deleting it and re-simulating",
                 &[("path", path.display().to_string().into())],
             );
             let _ = std::fs::remove_file(&path);
             return Ok(None);
-        }
+        };
         self.dir.touch(&path);
         let text: Arc<str> = text.into();
-        self.mem.lock().unwrap().insert(key, Arc::clone(&text));
+        self.mem.lock().expect("result cache lock poisoned").insert(key, Arc::clone(&text));
         Ok(Some(text))
     }
 
     /// Write-through insert. The disk write is atomic; on failure the
-    /// entry still serves from memory for this daemon's lifetime and
-    /// the error is reported for logging (a later identical request
-    /// re-simulates instead of reading a torn file). Evicted entries
-    /// leave the in-memory map too, so memory stays proportional to the
-    /// governed disk set.
+    /// entry still serves from memory for this process's lifetime and
+    /// the error is returned (a later process re-simulates instead of
+    /// reading a torn file). Evicted entries leave the in-memory map
+    /// too, so memory stays proportional to the governed disk set.
     pub fn put(&self, key: u64, text: &str) -> io::Result<()> {
-        self.mem.lock().unwrap().insert(key, text.into());
-        let write = |tmp: &Path| std::fs::write(tmp, text);
+        self.mem.lock().expect("result cache lock poisoned").insert(key, text.into());
+        let entry = checksummed(text);
+        let write = |tmp: &Path| std::fs::write(tmp, &entry);
         self.dir.publish(&self.path_for(key), write, |evicted| {
             let key = evicted
                 .file_stem()
                 .and_then(|s| s.to_str())
                 .and_then(|s| u64::from_str_radix(s, 16).ok());
             if let Some(key) = key {
-                self.mem.lock().unwrap().remove(&key);
+                self.mem.lock().expect("result cache lock poisoned").remove(&key);
             }
         })
     }
 
     /// Entries currently resident in memory.
     pub fn resident(&self) -> usize {
-        self.mem.lock().unwrap().len()
+        self.mem.lock().expect("result cache lock poisoned").len()
     }
 
     /// Total bytes of cache entries on disk.
@@ -138,7 +136,7 @@ mod tests {
 
     fn tmp(name: &str) -> PathBuf {
         let dir =
-            std::env::temp_dir().join(format!("rvp-serve-cache-{name}-{}", std::process::id()));
+            std::env::temp_dir().join(format!("rvp-result-cache-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
@@ -167,14 +165,25 @@ mod tests {
         std::fs::write(cache.path_for(9), b"{\"torn\":").unwrap();
         assert!(cache.get(9).unwrap().is_none());
         assert!(!cache.path_for(9).exists(), "corrupt entry must be removed");
+
+        // An entry edited to a value that still parses fails its
+        // checksum just the same; so does one that is not UTF-8.
+        ResultCache::open(&dir).unwrap().put(9, "{\"cycles\":13180}\n").unwrap();
+        let entry = std::fs::read_to_string(cache.path_for(9)).unwrap();
+        std::fs::write(cache.path_for(9), entry.replace("13180", "99999")).unwrap();
+        assert!(cache.get(9).unwrap().is_none(), "an edited entry is never served");
+        assert!(!cache.path_for(9).exists());
+        std::fs::write(cache.path_for(9), [0xff, 0xfe]).unwrap();
+        assert!(cache.get(9).unwrap().is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn budget_evicts_lru_and_never_the_fresh_entry() {
         let dir = tmp("budget");
-        let entry = "{\"n\":0}\n"; // 8 bytes
-        let budget = 3 * entry.len() as u64;
+        let entry = "{\"n\":0}\n";
+        // Three entries fit on disk, each with its checksum prefix.
+        let budget = 3 * checksummed(entry).len() as u64;
         let cache = ResultCache::open_with_budget(&dir, budget).unwrap();
         for key in 1..=3u64 {
             cache.put(key, entry).unwrap();
@@ -203,10 +212,8 @@ mod tests {
     fn disk_full_fault_still_serves_from_memory() {
         let dir = tmp("diskfull");
         let cache = ResultCache::open(&dir).unwrap();
-        rvp_fail::configure(&format!(
-            "seed=3;{DISK_FULL_SITE}=io@1,thread=disk_full_fault_still_serves"
-        ))
-        .expect("valid spec");
+        rvp_fail::configure("seed=3;store.disk.full=io@1,thread=disk_full_fault_still_serves")
+            .expect("valid spec");
         let first = cache.put(5, "{\"x\":5}\n");
         let second = cache.put(6, "{\"x\":6}\n");
         rvp_fail::disable();

@@ -20,8 +20,9 @@
 //! The work is a closure, so tests substitute a fake. Its outcome, with
 //! the subscribers its flight still has, goes to the one completion
 //! handler the front end installed, on the worker that ran it:
-//! persistence (the grid's cell files and manifest, the daemon's cache,
-//! job slots and journal) stays with the front end. The [`CostModel`]
+//! persistence (the grid's exported cell files, the daemon's job slots
+//! and journal, and what each puts in its cell store) stays with the
+//! front end. The [`CostModel`]
 //! the front ends estimate costs with lives here too.
 
 use std::collections::HashMap;

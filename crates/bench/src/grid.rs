@@ -4,13 +4,12 @@
 //! here, out of the binary, so the chaos and resume integration tests
 //! can exercise it directly:
 //!
-//! * **atomic cell writes** — every result JSON is written to a temp
-//!   file, fsynced and renamed into place, so a crash (or SIGKILL)
-//!   leaves either the complete old file or the complete new one;
-//! * **a checksummed run manifest** (`grid_manifest.jsonl`) journaling
-//!   each completed cell as it lands — `--resume` replays the journal,
-//!   re-verifies every recorded cell file by checksum, and re-runs only
-//!   what is missing, torn, or was never attempted;
+//! * **durable cells** — every finished cell is published to the cell
+//!   store ([`ResultCache`]) under its [`Runner::cell_key`] and exported
+//!   as `<workload>-<scheme>.json`, both atomically (temp file + fsync +
+//!   rename), so a crash (or SIGKILL) leaves either the complete old
+//!   file or the complete new one. `--resume` looks every planned cell
+//!   up in the store, exports the verified hits and re-runs the rest;
 //! * **per-cell failure containment** — each cell attempt runs inline
 //!   under `catch_unwind` (optionally with a deadline-armed child of the
 //!   caller's cancel token),
@@ -22,7 +21,8 @@
 //!
 //! Chaos sites: `grid.cell.run` fires inside the contained attempt
 //! (panics, delays and injected-transient I/O land exactly where a real
-//! fault would), `grid.cell.write` fires in the atomic cell write.
+//! fault would), `grid.cell.write` fires before each publish and export
+//! of a cell.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -30,11 +30,12 @@ use std::time::{Duration, Instant};
 
 use rvp_core::span::SpanGuard;
 use rvp_core::{
-    fnv1a, log, CancelToken, Json, Log, RunResult, Runner, SchemeSpec, SimError, SourceMode,
-    ToJson, Workload,
+    log, CancelToken, Json, RunResult, Runner, SchemeSpec, SimError, SourceMode, ToJson, Workload,
 };
 
-pub use rvp_core::{grid_config_fnv, write_atomic};
+use crate::cache::ResultCache;
+
+pub use rvp_core::write_atomic;
 
 /// One (workload, scheme) cell of the grid.
 pub struct GridCell {
@@ -45,7 +46,7 @@ pub struct GridCell {
 }
 
 impl GridCell {
-    /// The cell's stable identity in summaries, logs and the manifest.
+    /// The cell's stable identity in summaries and logs.
     pub fn label(&self) -> String {
         format!("{}/{}", self.workload.name(), self.scheme.label())
     }
@@ -68,26 +69,21 @@ impl Default for CellOptions {
     }
 }
 
-/// A cell that completed and whose JSON is durably on disk.
+/// A cell that completed and whose JSON is durably in the cell store
+/// and exported to the output directory.
 pub struct CellSuccess {
     /// Cell identity (`workload/scheme`).
     pub label: String,
-    /// The simulation result (`None` for cells skipped via `--resume`).
+    /// The simulation result (`None` for a cell restored from the store
+    /// by `--resume`).
     pub result: Option<RunResult>,
-    /// Committed instructions (kept separately so resumed cells count).
+    /// Committed instructions (kept separately so restored cells count).
     pub committed: u64,
-    /// Cell JSON file name within the output directory.
-    pub file: String,
-    /// FNV-1a of the cell JSON bytes, as journaled in the manifest.
-    pub file_fnv: u64,
-    /// Wall seconds this cell took (journaled value for resumed cells).
-    pub seconds: f64,
+    /// Wall seconds this cell took; a restored cell carries its time
+    /// from the previous summary, if that recorded one.
+    pub seconds: Option<f64>,
     /// Attempts beyond the first this cell needed.
     pub retries: u64,
-    /// The committed-stream source that finally served the cell.
-    pub source: &'static str,
-    /// Whether the cell was restored from the manifest, not re-run.
-    pub resumed: bool,
 }
 
 /// A cell that failed every rung of the degradation ladder — or was
@@ -235,8 +231,8 @@ pub struct CellRun {
 /// retry-with-backoff for transient faults, containment of panics and
 /// hangs. Returns the poisoned record (never panics, never aborts the
 /// sweep) if every rung fails. Persisting the result is the caller's
-/// business: `rvp-grid` writes it with [`write_cell`], the daemon puts
-/// it in its result cache.
+/// business: `rvp-grid` publishes and exports it with [`write_cell`],
+/// the daemon puts it in its result cache.
 pub fn run_one_cell(
     runner: &Runner,
     cell: &GridCell,
@@ -308,33 +304,35 @@ pub fn run_one_cell(
     Err(poisoned(&label, &AttemptError::Sim(error), last_stage, attempts))
 }
 
-/// Makes a simulated cell durable: an atomic, checksummed cell JSON
-/// write under `out_dir`, nested in the cell's `grid.cell.run` span,
-/// with its own transient retries counted in the cell's attempts. A
-/// write that fails every retry poisons the cell — re-simulating will
+/// Makes a simulated cell durable — published to `store` under `key`
+/// and exported to `out_dir` — nested in the cell's `grid.cell.run`
+/// span, with its own transient retries counted in the cell's attempts.
+/// A write that fails every retry poisons the cell — re-simulating will
 /// not fix the disk.
 pub fn write_cell(
+    store: &ResultCache,
+    key: u64,
     out_dir: &Path,
     mut run: CellRun,
     opts: CellOptions,
 ) -> Result<CellSuccess, PoisonedCell> {
-    let emitted = {
+    let written = {
         let _span = rvp_core::span!("grid.cell.write", { cell: run.label.as_str() });
-        emit_with_retry(out_dir, &run.result, opts, &mut run.attempts)
+        let result = &run.result;
+        let file = cell_file_name(result.workload, &result.scheme, result.sampling.is_some());
+        let text = format!("{}\n", result.to_json());
+        let publish = || publish_cell(store, key, out_dir, &file, &text);
+        write_with_retry(&run.label, publish, opts, &mut run.attempts)
     };
-    match emitted {
-        Ok((file, file_fnv)) => {
+    match written {
+        Ok(()) => {
             run.span.add_field("retries", run.attempts - 1);
             Ok(CellSuccess {
                 label: run.label,
                 committed: run.result.stats.committed,
                 result: Some(run.result),
-                file,
-                file_fnv,
-                seconds: run.started.elapsed().as_secs_f64(),
+                seconds: Some(run.started.elapsed().as_secs_f64()),
                 retries: run.attempts - 1,
-                source: run.source,
-                resumed: false,
             })
         }
         Err(e) => Err(poisoned(&run.label, &e, run.source, run.attempts)),
@@ -362,18 +360,18 @@ fn poisoned(label: &str, e: &AttemptError, stage: &'static str, attempts: u64) -
     cell
 }
 
-/// Atomic cell write with its own bounded transient-retry loop; bumps
-/// the shared attempt counter so the retries show up in telemetry.
-fn emit_with_retry(
-    out_dir: &Path,
-    result: &RunResult,
+/// A cell write with its own bounded transient-retry loop; bumps the
+/// shared attempt counter so the retries show up in telemetry.
+fn write_with_retry(
+    label: &str,
+    mut write: impl FnMut() -> std::io::Result<()>,
     opts: CellOptions,
     attempts: &mut u64,
-) -> Result<(String, u64), AttemptError> {
+) -> Result<(), AttemptError> {
     let mut attempt_idx = 0u32;
     loop {
-        match emit_cell_atomic(out_dir, result) {
-            Ok(done) => return Ok(done),
+        match write() {
+            Ok(()) => return Ok(()),
             Err(e) => {
                 if attempt_idx >= opts.retries {
                     return Err(AttemptError::Transient(format!("cannot write cell JSON: {e}")));
@@ -382,7 +380,7 @@ fn emit_with_retry(
                     "rvp-grid",
                     "cell JSON write failed; retrying",
                     &[
-                        ("cell", format!("{}/{}", result.workload, result.scheme).into()),
+                        ("cell", label.into()),
                         ("attempt", (attempt_idx + 1).into()),
                         ("error", e.to_string().into()),
                     ],
@@ -395,129 +393,29 @@ fn emit_with_retry(
     }
 }
 
-/// Writes one cell result as `<workload>-<scheme>.json` under `dir` —
+/// The name a cell is exported under: `<workload>-<scheme>.json`, or
 /// `<workload>-<scheme>.sampled.json` for a sampled cell, so a sampled
 /// sweep never overwrites (or masquerades as) a detailed one in the
-/// same output directory — atomically (temp file + fsync + rename).
-/// Returns the file name and the FNV-1a checksum of its bytes for the
-/// manifest journal.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error (including injected ones at the
-/// `grid.cell.write` chaos site).
-pub fn emit_cell_atomic(dir: &Path, result: &RunResult) -> std::io::Result<(String, u64)> {
-    let suffix = if result.sampling.is_some() { ".sampled.json" } else { ".json" };
-    let name = format!("{}-{}{suffix}", result.workload, result.scheme);
-    let text = format!("{}\n", result.to_json());
+/// same output directory.
+pub fn cell_file_name(workload: &str, scheme: &str, sampled: bool) -> String {
+    let suffix = if sampled { ".sampled.json" } else { ".json" };
+    format!("{workload}-{scheme}{suffix}")
+}
+
+/// Publishes one cell's JSON `text` to the cell store under `key`, then
+/// exports it atomically as `out_dir/<file>`. Fails with the underlying
+/// I/O error, including injected ones at the `grid.cell.write` chaos
+/// site and the store's disk-full drill.
+fn publish_cell(
+    store: &ResultCache,
+    key: u64,
+    out_dir: &Path,
+    file: &str,
+    text: &str,
+) -> std::io::Result<()> {
     rvp_fail::io_at("grid.cell.write")?;
-    write_atomic(&dir.join(&name), text.as_bytes())?;
-    Ok((name, fnv1a(text.as_bytes())))
-}
-
-// ---------------------------------------------------------------------
-// The run manifest.
-
-/// File name of the run manifest journal within the output directory.
-pub const MANIFEST_FILE: &str = "grid_manifest.jsonl";
-
-/// One journaled completed cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ManifestCell {
-    /// Cell identity (`workload/scheme`).
-    pub label: String,
-    /// Cell JSON file name within the output directory.
-    pub file: String,
-    /// FNV-1a of the cell JSON bytes at journal time.
-    pub file_fnv: u64,
-    /// Committed instructions the cell simulated.
-    pub committed: u64,
-    /// Wall seconds the cell took.
-    pub seconds: f64,
-    /// Attempts beyond the first the cell needed.
-    pub retries: u64,
-    /// Committed-stream source that served the cell.
-    pub source: String,
-}
-
-impl ManifestCell {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("kind", "cell".into()),
-            ("cell", self.label.as_str().into()),
-            ("file", self.file.as_str().into()),
-            ("file_fnv", self.file_fnv.into()),
-            ("committed", self.committed.into()),
-            ("seconds", self.seconds.into()),
-            ("retries", self.retries.into()),
-            ("source", self.source.as_str().into()),
-        ])
-    }
-
-    fn from_json(json: &Json) -> Option<ManifestCell> {
-        if json.get("kind")?.as_str()? != "cell" {
-            return None;
-        }
-        Some(ManifestCell {
-            label: json.get("cell")?.as_str()?.to_owned(),
-            file: json.get("file")?.as_str()?.to_owned(),
-            file_fnv: json.get("file_fnv")?.as_u64()?,
-            committed: json.get("committed")?.as_u64()?,
-            seconds: json.get("seconds")?.as_f64()?,
-            retries: json.get("retries")?.as_u64()?,
-            source: json.get("source")?.as_str()?.to_owned(),
-        })
-    }
-}
-
-/// The manifest's header line: it gates a resume on the grid
-/// configuration fingerprint.
-fn manifest_header(config_fnv: u64) -> Json {
-    Json::obj([
-        ("kind", "header".into()),
-        ("version", 1u64.into()),
-        ("config_fnv", config_fnv.into()),
-    ])
-}
-
-/// Loads the journaled cells of a previous run from `dir`, dropping
-/// anything unverifiable: a missing/corrupt header, a config
-/// fingerprint mismatch, a torn or checksum-failing line. Returns an
-/// empty list when there is nothing trustworthy to resume from.
-pub fn load_manifest(dir: &Path, config_fnv: u64) -> Vec<ManifestCell> {
-    let records = Log::replay(&dir.join(MANIFEST_FILE), &manifest_header(config_fnv));
-    records.unwrap_or_default().iter().filter_map(ManifestCell::from_json).collect()
-}
-
-/// Re-verifies a journaled cell against the bytes actually on disk.
-pub fn verify_manifest_cell(dir: &Path, cell: &ManifestCell) -> bool {
-    match std::fs::read(dir.join(&cell.file)) {
-        Ok(bytes) => fnv1a(&bytes) == cell.file_fnv,
-        Err(_) => false,
-    }
-}
-
-/// The append-only manifest journal for a running sweep: a [`Log`]
-/// whose every append is fsynced before it returns, so a cell is
-/// either fully journaled or not journaled at all.
-pub struct Manifest {
-    log: Log,
-}
-
-impl Manifest {
-    /// Starts a fresh journal at `dir` (atomically replacing any old
-    /// one) holding the header plus the already-verified `kept` cells,
-    /// then reopens it for appending.
-    pub fn start(dir: &Path, config_fnv: u64, kept: &[ManifestCell]) -> std::io::Result<Manifest> {
-        let kept: Vec<Json> = kept.iter().map(ManifestCell::to_json).collect();
-        let log = Log::create(&dir.join(MANIFEST_FILE), &manifest_header(config_fnv), &kept)?;
-        Ok(Manifest { log })
-    }
-
-    /// Journals one completed cell, durably.
-    pub fn append(&self, cell: &ManifestCell) -> std::io::Result<()> {
-        self.log.append(&cell.to_json())
-    }
+    store.put(key, text)?;
+    write_atomic(&out_dir.join(file), text.as_bytes())
 }
 
 #[cfg(test)]
@@ -528,44 +426,6 @@ mod tests {
     fn ladder_descends_and_respects_store() {
         assert_eq!(ladder(SourceMode::Live), vec![SourceMode::Live]);
         assert_eq!(ladder(SourceMode::Shared), vec![SourceMode::Shared, SourceMode::Live]);
-    }
-
-    #[test]
-    fn manifest_round_trips_and_rejects_torn_lines() {
-        let dir = std::env::temp_dir().join(format!("rvp-manifest-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-
-        let cell = ManifestCell {
-            label: "li/lvp".into(),
-            file: "li-lvp.json".into(),
-            file_fnv: 0xabcd,
-            committed: 1234,
-            seconds: 0.5,
-            retries: 1,
-            source: "shared".into(),
-        };
-        let m = Manifest::start(&dir, 42, &[]).unwrap();
-        m.append(&cell).unwrap();
-        assert_eq!(load_manifest(&dir, 42), vec![cell.clone()]);
-        // Wrong config fingerprint: nothing to resume from.
-        assert!(load_manifest(&dir, 43).is_empty());
-
-        // A torn final line (crash mid-append) is dropped, the rest
-        // survives.
-        let path = dir.join(MANIFEST_FILE);
-        let mut text = std::fs::read_to_string(&path).unwrap();
-        text.push_str("0123456789abcdef {\"kind\":\"cell\",\"cell\":\"go/lv");
-        std::fs::write(&path, &text).unwrap();
-        assert_eq!(load_manifest(&dir, 42), vec![cell.clone()]);
-
-        // Verification: matching bytes pass, tampered bytes fail.
-        assert!(!verify_manifest_cell(&dir, &cell));
-        std::fs::write(dir.join("li-lvp.json"), b"x").unwrap();
-        let honest = ManifestCell { file_fnv: fnv1a(b"x"), ..cell.clone() };
-        assert!(verify_manifest_cell(&dir, &honest));
-
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

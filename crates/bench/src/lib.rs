@@ -1,6 +1,6 @@
 //! The paper's experiment table and its `rvp-experiment` printer, the
-//! `rvp-grid` sweep, and the executor both `rvp-grid` and `rvp-serve`
-//! run cells on.
+//! `rvp-grid` sweep, and the executor and cell store both `rvp-grid`
+//! and `rvp-serve` run and keep cells with.
 //!
 //! Every entry of [`experiments::EXPERIMENTS`] prints the same rows or
 //! series as the corresponding figure or table in the paper. Absolute
@@ -15,6 +15,7 @@
 //! counts, and `RVP_SAMPLE` (`auto` or `interval=N,warmup=N,...`)
 //! switches measurement to sampled simulation.
 
+pub mod cache;
 pub mod executor;
 pub mod experiments;
 pub mod grid;

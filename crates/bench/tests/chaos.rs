@@ -113,6 +113,31 @@ fn transient_injected_faults_are_retried_bit_identically() {
     );
 }
 
+/// An injected fault in a cell's publish to the store and export is
+/// retried; the cell lands once, bit-identical to the fault-free run.
+#[test]
+fn cell_write_fault_is_retried_bit_identically() {
+    let baseline = common::TempDir::new("write-baseline");
+    let out = run_grid(baseline.path(), &[], &[]);
+    assert!(out.status.success(), "baseline failed: {}", String::from_utf8_lossy(&out.stderr));
+    let want = cell_files(baseline.path());
+
+    let chaotic = common::TempDir::new("write-chaos");
+    let out = run_grid(chaotic.path(), &[], &[("RVP_FAIL", "seed=11;grid.cell.write=io@1")]);
+    assert!(out.status.success(), "chaotic run failed: {}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(cell_files(chaotic.path()), want, "cells must be bit-identical");
+
+    let s = summary(chaotic.path());
+    assert_eq!(summary_u64(&s, "cells"), CELLS);
+    assert_eq!(failures_u64(&s, "count"), 0);
+    assert!(failures_u64(&s, "retries") >= 1, "the injected fault must show up as a retry");
+    let injected = s.get("failures").and_then(|f| f.get("injected")).expect("injected section");
+    assert!(
+        injected.get("grid.cell.write").and_then(Json::as_u64) == Some(1),
+        "summary must attribute the injected fault to its site: {injected}"
+    );
+}
+
 #[test]
 fn trace_corruption_degrades_bit_identically() {
     let baseline = common::TempDir::new("degrade-baseline");

@@ -61,8 +61,8 @@ pub fn run_grid(out_dir: &Path, extra_args: &[&str], envs: &[(&str, &str)]) -> O
     grid_command(out_dir, extra_args, envs).output().expect("spawn rvp-grid")
 }
 
-/// All cell JSON files in `dir` (name -> bytes), excluding the summary
-/// and manifest.
+/// All exported cell JSON files in `dir` (name -> bytes), excluding
+/// the summary and the cell store's `cache/` subdirectory.
 pub fn cell_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     std::fs::read_dir(dir)
         .expect("read out dir")

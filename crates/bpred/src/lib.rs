@@ -37,7 +37,7 @@
 use rvp_vpred::Params;
 
 /// Configuration of the branch predictor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BpredConfig {
     /// Pattern-history-table entries (2-bit counters); power of two.
     pub pht_entries: usize,

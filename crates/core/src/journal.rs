@@ -1,12 +1,14 @@
-//! The checksummed, fsynced record log behind every journal of run
-//! state: the grid's `grid_manifest.jsonl` and the serve daemon's
-//! `serve_journal.jsonl`.
+//! Checksummed records: the line form of the fsynced record log behind
+//! the serve daemon's `serve_journal.jsonl`, and of every cell-store
+//! entry (`rvp_bench::cache::ResultCache`).
 //!
-//! One record per line (`<fnv1a:016x> <json>\n`, [`journal_line`]), so
-//! a log tolerates a torn final line from a crash mid-append: the
-//! unverifiable line is detected and dropped rather than trusted. The
-//! atomic publish it compacts with, [`write_atomic`], lives with the
-//! rest of the durable-store layer in `rvp-trace`.
+//! A record is `<fnv1a:016x> <text>` ([`checksummed`]); a reader trusts
+//! its text only after the checksum matches ([`verified`]). So a log
+//! tolerates a torn final line from a crash mid-append — the
+//! unverifiable line is detected and dropped rather than trusted — and
+//! a cell entry edited on disk is a miss, never a result. The atomic
+//! publish a log compacts with, [`write_atomic`], lives with the rest
+//! of the durable-store layer in `rvp-trace`.
 
 use std::fs::File;
 use std::io::{self, Write};
@@ -17,22 +19,30 @@ use rvp_json::Json;
 use rvp_obs::log;
 use rvp_trace::{fnv1a, write_atomic};
 
+/// `text` prefixed with the FNV-1a of its bytes: `<fnv1a:016x> <text>`.
+pub fn checksummed(text: &str) -> String {
+    format!("{:016x} {text}", fnv1a(text.as_bytes()))
+}
+
+/// The text of a [`checksummed`] record, or `None` when the checksum is
+/// missing or does not match it (a torn or tampered record).
+pub fn verified(record: &str) -> Option<&str> {
+    let (sum, text) = record.split_once(' ')?;
+    (u64::from_str_radix(sum, 16).ok()? == fnv1a(text.as_bytes())).then_some(text)
+}
+
 /// Renders one journal record as `<fnv1a-of-json:016x> <json>\n`.
 pub fn journal_line(json: &Json) -> String {
-    let text = json.to_string();
-    format!("{:016x} {text}\n", fnv1a(text.as_bytes()))
+    let mut line = checksummed(&json.to_string());
+    line.push('\n');
+    line
 }
 
 /// Parses one journal line back, returning `None` for anything
 /// unverifiable: a missing checksum, a checksum mismatch (torn or
 /// tampered line), or malformed JSON.
 fn parse_journal_line(line: &str) -> Option<Json> {
-    let (sum, text) = line.split_once(' ')?;
-    let sum = u64::from_str_radix(sum, 16).ok()?;
-    if fnv1a(text.as_bytes()) != sum {
-        return None;
-    }
-    Json::parse(text).ok()
+    Json::parse(verified(line)?).ok()
 }
 
 /// An append-only log of [`journal_line`] records whose first line is a

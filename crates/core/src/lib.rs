@@ -44,11 +44,11 @@ pub use fatal::{
     fatal, fatal_sim, sim_error_kind, sim_exit_code, EXIT_CANCELLED, EXIT_CONFIG, EXIT_DEADLOCK,
     EXIT_EMU, EXIT_IO, EXIT_POISONED, EXIT_STRUCTURE, EXIT_USAGE,
 };
-pub use journal::{journal_line, Log};
+pub use journal::{checksummed, journal_line, verified, Log};
 pub use memo::Memo;
 pub use runner::{
-    grid_config_fnv, ProfileCache, RunMemo, RunResult, Runner, SharedTraceCache, SourceCounters,
-    SourceMode, SourceTally,
+    ProfileCache, RunMemo, RunResult, Runner, SharedTraceCache, SourceCounters, SourceMode,
+    SourceTally,
 };
 pub use sampling::SamplingCaches;
 pub use schemes::{
@@ -75,8 +75,8 @@ pub use rvp_sample::{
     SampleWindow,
 };
 pub use rvp_trace::{
-    capture, fnv1a, program_hash, write_atomic, StoreCounters, TraceError, TraceInput, TraceMeta,
-    TraceReader, TraceStore, TraceWriter,
+    capture, fnv1a, program_hash, write_atomic, BudgetDir, StoreCounters, TraceError, TraceInput,
+    TraceMeta, TraceReader, TraceStore, TraceWriter,
 };
 pub use rvp_uarch::{
     CommittedSource, EmuSource, Latencies, PlanMode, Recovery, Scheme, SharedSource, SimError,

@@ -1,7 +1,7 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -574,6 +574,23 @@ impl Runner {
         Ok(self.fingerprint(&self.prepare(wl, scheme)?))
     }
 
+    /// The content address of the cell JSON [`Runner::run`] returns
+    /// for (`wl`, `scheme`): FNV-1a over everything that changes the
+    /// cell's bytes — workload, scheme label, recovery model, profile
+    /// threshold, both budgets, sampling spec, workload scale, machine
+    /// and instrumentation. The source mode is left out (every source
+    /// is bit-identical), as are the caches and the cancel token. It
+    /// reads the knobs alone, so a cell is keyed before anything is
+    /// built or profiled, and hashes their fields rather than their
+    /// text: the daemon keys every cell of every request.
+    pub fn cell_key(&self, wl: &Workload, scheme: &SchemeSpec) -> u64 {
+        let mut h = Fnv1a::default();
+        (wl.name(), scheme.label(), self.recovery, self.threshold.to_bits()).hash(&mut h);
+        (self.measure_insts, self.profile_insts, self.sampling, self.workload_scale).hash(&mut h);
+        (&self.config, &self.obs).hash(&mut h);
+        h.finish()
+    }
+
     /// Builds what a cell simulates: the ref program (marked or
     /// reallocated, as the scheme asks) and the machine's [`Scheme`].
     fn prepare(&self, wl: &Workload, scheme: &SchemeSpec) -> Result<PreparedCell, SimError> {
@@ -760,9 +777,8 @@ impl Runner {
         let (interval, warmup) = spec.resolve(budget);
         let key = |hash| sample_key(name, budget, hash, interval, warmup, spec);
         let cancel = self.cancel.as_ref();
-        let plan_dir = self.traces.as_ref().map(|s| s.dir().join("plans"));
         let mut checkpoints = None;
-        let plan = self.samples.plan(key(base_hash), plan_dir.as_deref(), || {
+        let plan = self.samples.plan(key(base_hash), self.traces.as_ref(), || {
             let (plan, kept) = build_plan(name, base, budget, interval, warmup, spec, cancel)?;
             checkpoints = Some(kept);
             Ok(plan)
@@ -851,45 +867,6 @@ impl Runner {
     pub fn fig1(&self, wl: &Workload) -> Result<Fig1Row, SimError> {
         Ok(self.memo_profile(wl, Input::Ref, None, self.measure_insts)?.fig1())
     }
-}
-
-/// A fingerprint of everything that makes two runs of a (workload ×
-/// scheme) grid comparable: the workloads, the schemes, the
-/// committed-stream source, the instruction budgets, the profile
-/// threshold and the recovery model. The grid manifest journals it in
-/// its header (a manifest written under a different configuration must
-/// not be resumed from), and the serve daemon keys its
-/// content-addressed result cache with the single-cell case.
-pub fn grid_config_fnv(workloads: &[Workload], schemes: &[SchemeSpec], runner: &Runner) -> u64 {
-    let mut key = String::new();
-    for wl in workloads {
-        key.push_str(wl.name());
-        key.push(',');
-    }
-    key.push('|');
-    for s in schemes {
-        key.push_str(s.label());
-        key.push(',');
-    }
-    key.push_str(&format!(
-        "|{}|{}|{}|{:.6}|{:?}",
-        runner.source_mode.name(),
-        runner.measure_insts,
-        runner.profile_insts,
-        runner.threshold,
-        runner.recovery,
-    ));
-    // Sampled and scaled configurations extend the key *only when
-    // active*, so every pre-sampling fingerprint — and the manifests
-    // and cached results journalled under them — stays valid.
-    if let Some(spec) = &runner.sampling {
-        key.push('|');
-        key.push_str(&spec.fingerprint_component());
-    }
-    if runner.workload_scale > 1 {
-        key.push_str(&format!("|scale={}", runner.workload_scale));
-    }
-    rvp_trace::fnv1a(key.as_bytes())
 }
 
 /// `program` with the loads of a static plan marked in its text
@@ -1235,32 +1212,41 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Sampled and scaled grids must never share a fingerprint with
-    /// detailed seed-era grids (resume and the serve result cache key
-    /// on it) — while an inactive sampling/scale config leaves the
-    /// seed-era fingerprint untouched.
+    /// The cell key is one per cell and knob setting: equal across
+    /// committed-stream sources, which are bit-identical, and different
+    /// for every knob that changes a cell's JSON.
     #[test]
-    fn sampled_and_scaled_cells_fingerprint_distinctly() {
-        let wls = vec![by_name("li").unwrap()];
-        let schemes = vec![spec("no_predict")];
+    fn cell_key_covers_every_knob_but_the_source() {
+        let (li, lvp) = (by_name("li").unwrap(), spec("lvp"));
+        let key = |r: &Runner| r.cell_key(&li, &lvp);
         let base = quick_runner();
-        let sampled = Runner { sampling: Some(SampleSpec::default()), ..quick_runner() };
-        let scaled = Runner { workload_scale: 8, ..quick_runner() };
-        let both =
-            Runner { sampling: Some(SampleSpec::default()), workload_scale: 8, ..quick_runner() };
-        let f = |r: &Runner| grid_config_fnv(&wls, &schemes, r);
-        let fps = [f(&base), f(&sampled), f(&scaled), f(&both)];
-        for i in 0..fps.len() {
-            for j in i + 1..fps.len() {
-                assert_ne!(fps[i], fps[j], "fingerprints {i} and {j} collide");
+        let live = Runner { source_mode: SourceMode::Live, ..quick_runner() };
+        assert_eq!(key(&base), key(&live), "the source mode is not part of the key");
+        assert_eq!(key(&base), key(&quick_runner()), "the key is stable");
+
+        let knobs = [
+            Runner { recovery: Recovery::Refetch, ..quick_runner() },
+            Runner { threshold: 0.9, ..quick_runner() },
+            Runner { measure_insts: base.measure_insts + 1, ..quick_runner() },
+            Runner { profile_insts: base.profile_insts + 1, ..quick_runner() },
+            Runner { sampling: Some(SampleSpec::default()), ..quick_runner() },
+            Runner {
+                sampling: Some(SampleSpec { max_k: 3, ..SampleSpec::default() }),
+                ..quick_runner()
+            },
+            Runner { workload_scale: 8, ..quick_runner() },
+            Runner { config: UarchConfig::wide16(), ..quick_runner() },
+            Runner { obs: ObsConfig::standard(), ..quick_runner() },
+        ];
+        let mut keys = vec![key(&base), base.cell_key(&by_name("go").unwrap(), &lvp)];
+        keys.push(base.cell_key(&li, &spec("drvp_all")));
+        keys.push(base.cell_key(&li, &spec("drvp_all:entries=4096")));
+        keys.extend(knobs.iter().map(key));
+        for i in 0..keys.len() {
+            for j in i + 1..keys.len() {
+                assert_ne!(keys[i], keys[j], "keys {i} and {j} collide");
             }
         }
-        // Different sampling knobs → different fingerprints too.
-        let other_spec = Runner {
-            sampling: Some(SampleSpec { max_k: 3, ..SampleSpec::default() }),
-            ..quick_runner()
-        };
-        assert_ne!(f(&sampled), f(&other_spec));
     }
 
     /// The columnar (SoA) trace view must be bit-identical, record for

@@ -11,10 +11,9 @@
 //! they carry — the base program for every scheme but a register
 //! reallocation that renamed a destination — so marked programs share
 //! the base windows too. Plans are memoized in memory and persisted
-//! content-addressed next to the trace store, so re-running a sweep
-//! skips the profiling pass entirely.
+//! content-addressed in the trace store, so re-running a sweep skips
+//! the profiling pass entirely.
 
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use rvp_emu::Emulator;
@@ -24,6 +23,7 @@ use rvp_obs::log;
 use rvp_sample::{
     BbvConfig, BbvProfiler, Checkpoints, SamplePlan, SampleSpec, SampleWindow, CANCEL_CHECK_MASK,
 };
+use rvp_trace::TraceStore;
 use rvp_uarch::SimError;
 
 use crate::memo::Memo;
@@ -60,23 +60,22 @@ pub struct SamplingCaches {
 
 impl SamplingCaches {
     /// The plan for `key`, from (in order) the in-memory memo, the
-    /// content-addressed file under `dir`, or `build`. A freshly built
-    /// plan is persisted to `dir` best-effort — a read-only store slows
-    /// the next sweep down but never fails this one.
+    /// trace store's persisted plans, or `build`. A freshly built plan
+    /// is persisted best-effort — a read-only or full store slows the
+    /// next sweep down but never fails this one.
     pub(crate) fn plan(
         &self,
         key: u64,
-        dir: Option<&Path>,
+        store: Option<&TraceStore>,
         build: impl FnOnce() -> Result<SamplePlan, SimError>,
     ) -> Result<Arc<SamplePlan>, SimError> {
         self.plans.get_or_try_init(key, || {
-            let path = dir.map(|d| plan_path(d, key));
-            if let Some(plan) = path.as_ref().and_then(|p| load_plan(p)) {
+            if let Some(plan) = store.and_then(|s| load_plan(s, key)) {
                 return Ok(Arc::new(plan));
             }
             let plan = build()?;
-            if let Some(p) = &path {
-                store_plan(p, &plan);
+            if let Some(s) = store {
+                store_plan(s, key, &plan);
             }
             Ok(Arc::new(plan))
         })
@@ -106,38 +105,30 @@ impl SamplingCaches {
     }
 }
 
-/// The content-addressed path of a plan: `<dir>/plan-<key>.json`.
-pub(crate) fn plan_path(dir: &Path, key: u64) -> PathBuf {
-    dir.join(format!("plan-{key:016x}.json"))
-}
-
-fn load_plan(path: &Path) -> Option<SamplePlan> {
-    let text = std::fs::read_to_string(path).ok()?;
+fn load_plan(store: &TraceStore, key: u64) -> Option<SamplePlan> {
+    let text = store.read_plan(key).ok()?;
     match Json::parse(&text).ok().as_ref().map(SamplePlan::from_json) {
         Some(Ok(plan)) => Some(plan),
         _ => {
             log::warn(
                 "rvp_core::sampling",
                 "cached sampling plan unreadable; rebuilding",
-                &[("path", path.display().to_string().into())],
+                &[("path", store.plan_path(key).display().to_string().into())],
             );
             None
         }
     }
 }
 
-fn store_plan(path: &Path, plan: &SamplePlan) {
-    let write = || -> std::io::Result<()> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        rvp_trace::write_atomic(path, plan.to_json().to_string().as_bytes())
-    };
-    if let Err(e) = write() {
+fn store_plan(store: &TraceStore, key: u64, plan: &SamplePlan) {
+    if let Err(e) = store.store_plan(key, &plan.to_json().to_string()) {
         log::warn(
             "rvp_core::sampling",
             "failed to persist sampling plan; it will be rebuilt next sweep",
-            &[("path", path.display().to_string().into()), ("error", e.to_string().into())],
+            &[
+                ("path", store.plan_path(key).display().to_string().into()),
+                ("error", e.to_string().into()),
+            ],
         );
     }
 }

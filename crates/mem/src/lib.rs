@@ -28,7 +28,7 @@ pub use cache::{Cache, CacheConfig, CacheStats};
 pub use tlb::{Tlb, TlbConfig};
 
 /// Configuration for the full hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemConfig {
     /// L1 instruction cache geometry.
     pub l1i: CacheConfig,

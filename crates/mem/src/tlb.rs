@@ -1,5 +1,5 @@
 /// Geometry of a TLB.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TlbConfig {
     /// Number of entries (fully associative).
     pub entries: usize,

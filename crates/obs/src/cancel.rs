@@ -13,8 +13,8 @@
 //! Cancellation is *cooperative*: nothing is killed. The worker observes
 //! the token at a safe point, unwinds through ordinary `Result`
 //! plumbing (`SimError::Cancelled` → `AttemptError::Cancelled` → a
-//! squashed cell), and every durable structure (journal, result cache,
-//! manifest) stays consistent because the worker exits through its
+//! squashed cell), and every durable structure (journal, cell store)
+//! stays consistent because the worker exits through its
 //! normal error paths.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

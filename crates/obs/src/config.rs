@@ -6,7 +6,7 @@
 /// The default is fully off: no sampler, no per-PC table, no per-cycle
 /// work beyond the O(1) cycle-accounting ladder. The grid and the daemon
 /// run this default, so `rvp-perf` measures it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ObsConfig {
     /// Cycles per time-series window; `0` disables sampling.
     pub sample_interval: u64,

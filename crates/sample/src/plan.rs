@@ -16,7 +16,7 @@ use crate::kmeans::choose_k;
 /// User-facing sampling parameters (a [`crate::plan::SamplePlan`] is
 /// derived from these plus the stream). Zero means "auto" for the two
 /// instruction knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SampleSpec {
     /// Committed instructions per profiled interval; 0 picks
     /// budget/256, clamped to `[20_000, 250_000]` (small intervals keep
@@ -55,9 +55,9 @@ impl SampleSpec {
         (interval, warmup)
     }
 
-    /// The canonical textual form folded into config fingerprints
-    /// (`grid_config_fnv`, the serve result cache): every knob, in a
-    /// fixed order.
+    /// The canonical textual form folded into content keys (the cell
+    /// key, sampling plan and run-memo keys): every knob, in a fixed
+    /// order.
     pub fn fingerprint_component(&self) -> String {
         format!(
             "sample:interval={},warmup={},dims={},max_k={},seed={}",

@@ -9,9 +9,9 @@
 //! just the still-pending jobs, so the journal stays proportional to
 //! in-flight work, not daemon lifetime.
 //!
-//! The file is an `rvp_core::Log`, the same checksummed, fsynced log as
-//! the grid manifest: a torn tail from a crash mid-append is detected
-//! by checksum and ignored.
+//! The file is an `rvp_core::Log`, a checksummed, fsynced record log: a
+//! torn tail from a crash mid-append is detected by checksum and
+//! ignored.
 
 use std::io;
 use std::path::{Path, PathBuf};

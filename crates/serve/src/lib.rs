@@ -9,10 +9,12 @@
 //! * **Durability** — a sweep is journaled (checksummed, fsynced)
 //!   before it is acknowledged; a killed daemon resumes in-flight
 //!   sweeps on restart ([`journal`]).
-//! * **Content addressing** — every cell result is cached under the
-//!   same config fingerprint the grid manifest uses, so repeat queries
-//!   are answered without simulating and a resumed sweep re-runs only
-//!   what the kill interrupted ([`cache`]).
+//! * **Content addressing** — every cell result is kept in the cell
+//!   store `rvp-grid` keeps its cells in ([`ResultCache`], keyed by
+//!   `Runner::cell_key` and checksummed), so repeat queries are answered
+//!   without simulating, a resumed sweep re-runs only what the kill
+//!   interrupted, and an entry damaged on disk is re-simulated, never
+//!   served.
 //! * **Containment** — cells run behind `catch_unwind`, retries and
 //!   the source-degradation ladder; failures surface as structured
 //!   JSON in the affected response, never as a dead daemon
@@ -21,13 +23,12 @@
 //! `rvp-perf` (its own package at the repository root) measures the
 //! daemon under load from outside.
 
-pub mod cache;
 pub mod http;
 pub mod journal;
 pub mod server;
 pub mod spec;
 
-pub use cache::ResultCache;
 pub use journal::JobJournal;
+pub use rvp_bench::cache::ResultCache;
 pub use server::{start, CellOutcome, Job, ServeConfig, ServerHandle};
 pub use spec::SweepSpec;

@@ -27,6 +27,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
 
+use rvp_bench::cache::ResultCache;
 use rvp_bench::executor::{CostModel, Executor};
 use rvp_bench::grid::{run_one_cell, CellOptions, CellRun, GridCell, PoisonedCell};
 use rvp_core::Runner;
@@ -34,7 +35,6 @@ use rvp_json::{Json, ToJson};
 use rvp_obs::{log, span, CancelToken, Clock, Metric, MetricsRegistry, ServeMetrics};
 use rvp_trace::TraceStore;
 
-use crate::cache::ResultCache;
 use crate::http::{read_request, write_json_response, write_text_response, HttpError, Request};
 use crate::journal::JobJournal;
 use crate::spec::SweepSpec;
@@ -828,10 +828,11 @@ fn submit(
     let request_span = span::current();
     let admission_span = span!("serve.admission", { cells: spec.cells().len() });
     let cells = spec.cells();
+    let runner = spec.runner_for(&inner.base);
     let mut slots = Vec::with_capacity(cells.len());
     let mut misses: Vec<(usize, u64, GridCell)> = Vec::new();
     for (idx, cell) in cells.into_iter().enumerate() {
-        let fingerprint = spec.cell_fingerprint(&inner.base, &cell);
+        let fingerprint = runner.cell_key(&cell.workload, &cell.scheme);
         let outcome = match inner.cache.get(fingerprint) {
             Ok(Some(text)) => {
                 inner.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -898,7 +899,6 @@ fn submit(
         return Ok(job);
     }
 
-    let runner = spec.runner_for(&inner.base);
     let tasks: Vec<_> = misses
         .into_iter()
         .map(|(idx, fingerprint, cell)| {

@@ -3,8 +3,8 @@
 
 use rvp_bench::grid::GridCell;
 use rvp_core::{
-    by_name_or_err, grid_config_fnv, parse_recovery, recovery_name, Recovery, RunMemo, Runner,
-    SampleSpec, SchemeSpec, Workload,
+    by_name_or_err, parse_recovery, recovery_name, Recovery, RunMemo, Runner, SampleSpec,
+    SchemeSpec, Workload,
 };
 use rvp_json::Json;
 
@@ -165,7 +165,8 @@ impl SweepSpec {
     /// run memo ([`Runner::runs`]). Cells of one job that resolve to
     /// the same machine input simulate once; the memo drops with the
     /// job's last cell, so it needs no budget, and the result cache
-    /// stays the daemon's only store across jobs.
+    /// stays the daemon's only store across jobs. Its
+    /// [`Runner::cell_key`] addresses the sweep's cells there.
     pub fn runner_for(&self, base: &Runner) -> Runner {
         let mut runner = base.clone();
         runner.runs = RunMemo::default();
@@ -176,18 +177,6 @@ impl SweepSpec {
         runner.sampling = self.sampling;
         runner.workload_scale = self.workload_scale;
         runner
-    }
-
-    /// Content address of one cell's result: the same config
-    /// fingerprint the grid manifest journals, specialized to a single
-    /// (workload × scheme) cell. Two requests that would produce
-    /// bit-identical cell JSON get the same key.
-    pub fn cell_fingerprint(&self, base: &Runner, cell: &GridCell) -> u64 {
-        grid_config_fnv(
-            std::slice::from_ref(&cell.workload),
-            std::slice::from_ref(&cell.scheme),
-            &self.runner_for(base),
-        )
     }
 }
 
@@ -214,6 +203,12 @@ mod tests {
         SweepSpec::from_json(&Json::parse(text).unwrap(), &base())
     }
 
+    /// The cell-store address of `spec`'s first cell.
+    fn first_key(spec: &SweepSpec) -> u64 {
+        let cell = &spec.cells()[0];
+        spec.runner_for(&base()).cell_key(&cell.workload, &cell.scheme)
+    }
+
     #[test]
     fn spec_roundtrips_through_journal_json() {
         let spec = parse(
@@ -226,12 +221,11 @@ mod tests {
         assert_eq!(again.to_json().to_string(), spec.to_json().to_string());
         assert_eq!(again.cells().len(), 4);
         // Identical specs address identical cells.
-        let cell = &spec.cells()[0];
-        assert_eq!(spec.cell_fingerprint(&base(), cell), again.cell_fingerprint(&base(), cell));
+        assert_eq!(first_key(&spec), first_key(&again));
         // A different knob re-addresses every cell.
         let mut other = spec.clone();
         other.measure_insts += 1;
-        assert_ne!(spec.cell_fingerprint(&base(), cell), other.cell_fingerprint(&base(), cell));
+        assert_ne!(first_key(&spec), first_key(&other));
     }
 
     #[test]
@@ -249,10 +243,7 @@ mod tests {
         let tuned = parse(r#"{"workloads":["li"],"schemes":["drvp_all:entries=4096"]}"#).unwrap();
         assert_eq!(tuned.schemes[0].label(), "drvp_all:entries=4096");
         // The parameter tail is part of the cell's content address.
-        assert_ne!(
-            plain.cell_fingerprint(&base(), &plain.cells()[0]),
-            tuned.cell_fingerprint(&base(), &tuned.cells()[0]),
-        );
+        assert_ne!(first_key(&plain), first_key(&tuned));
         // Invalid parameters are a 400, same as unknown names.
         assert!(parse(r#"{"workloads":["li"],"schemes":["drvp_all:bogus=1"]}"#).is_err());
         assert!(parse(r#"{"workloads":["li"],"schemes":["no_predict:entries=4"]}"#).is_err());
@@ -271,15 +262,11 @@ mod tests {
         assert_eq!(again.to_json().to_string(), sampled.to_json().to_string());
         // Sampled and detailed results of the same cell are distinct
         // entries in the content-addressed result cache.
-        let cell = &plain.cells()[0];
-        assert_ne!(plain.cell_fingerprint(&base(), cell), sampled.cell_fingerprint(&base(), cell));
-        assert_eq!(
-            sampled.cell_fingerprint(&base(), cell),
-            again.cell_fingerprint(&base(), &again.cells()[0])
-        );
+        assert_ne!(first_key(&plain), first_key(&sampled));
+        assert_eq!(first_key(&sampled), first_key(&again));
         // `"sample":"auto"` is valid and distinct from no sampling.
         let auto = parse(r#"{"workloads":["li"],"schemes":["lvp"],"sample":"auto"}"#).unwrap();
-        assert_ne!(plain.cell_fingerprint(&base(), cell), auto.cell_fingerprint(&base(), cell));
+        assert_ne!(first_key(&plain), first_key(&auto));
         // Bad specs and out-of-range scales are 400s, not panics.
         assert!(parse(r#"{"workloads":["li"],"schemes":["lvp"],"sample":"bogus=1"}"#).is_err());
         assert!(parse(r#"{"workloads":["li"],"schemes":["lvp"],"scale":0}"#).is_err());

@@ -1,11 +1,12 @@
 //! Chaos tests for the serve daemon: seeded faults at the
 //! `serve.journal.append` and `serve.cache.read` failpoints must
 //! surface as structured 5xx JSON on the affected request while the
-//! daemon — and every surviving request — carries on unharmed.
+//! daemon — and every surviving request — carries on unharmed; and a
+//! cache entry damaged on disk is re-simulated, never served.
 
 mod common;
 
-use common::{request, sweep_body, Daemon, TempDir};
+use common::{cache_files, request, sweep_body, Daemon, TempDir};
 use rvp_core::Json;
 
 #[test]
@@ -69,4 +70,40 @@ fn cache_read_fault_is_a_structured_500_and_disk_stays_good() {
     let metrics = request(daemon.addr, "GET", "/metrics", None).json().expect("metrics");
     assert!(metrics.get("server_errors").and_then(Json::as_u64).unwrap_or(0) >= 1);
     assert_eq!(metrics.get("cells_computed").and_then(Json::as_u64), Some(0));
+}
+
+/// The `result` object of every cell of a sweep response, in order.
+fn results(response: &Json) -> Vec<String> {
+    let cells = response.get("cells").and_then(Json::as_arr).expect("cells");
+    cells.iter().map(|c| c.get("result").expect("result").to_string()).collect()
+}
+
+#[test]
+fn edited_cache_entry_is_resimulated_never_served() {
+    let dir = TempDir::new("chaos-edited");
+    let mut primer = Daemon::spawn(dir.path(), &["--workers", "1"], &[]);
+    let primed = request(primer.addr, "POST", "/sweep", Some(&sweep_body(true)));
+    assert_eq!(primed.status, 200);
+    let want = results(&primed.json().expect("primed json"));
+    primer.kill();
+
+    // Edit a `cycles` digit of every entry: the JSON still parses, but
+    // no longer matches its checksum.
+    let entries = cache_files(dir.path());
+    assert_eq!(entries.len(), 2);
+    for (name, bytes) in &entries {
+        let text = String::from_utf8(bytes.clone()).expect("utf8 entry");
+        let edited = text.replacen("\"cycles\":", "\"cycles\":9", 1);
+        assert_ne!(edited, text, "{name} has a cycles field");
+        std::fs::write(dir.path().join("cache").join(name), edited).expect("tamper");
+    }
+
+    let daemon = Daemon::spawn(dir.path(), &["--workers", "1"], &[]);
+    let again = request(daemon.addr, "POST", "/sweep", Some(&sweep_body(true)));
+    assert_eq!(again.status, 200);
+    let again = again.json().expect("json");
+    assert_eq!(again.get("cached").and_then(Json::as_u64), Some(0), "edited entries are misses");
+    assert_eq!(again.get("computed").and_then(Json::as_u64), Some(2));
+    assert_eq!(results(&again), want, "the re-simulated cells match the originals");
+    assert_eq!(cache_files(dir.path()), entries, "the entries are rewritten as they were");
 }

@@ -1,6 +1,7 @@
 //! The durable-store layer every persisted artifact goes through: the
-//! grid's cell files, manifest and summary, the serve daemon's journal
-//! and result cache, and the trace store's traces and sampling plans.
+//! grid's exported cell files and summary, the cell store both front
+//! ends keep cells in, the serve daemon's journal, and the trace
+//! store's traces and sampling plans.
 //!
 //! Three policies, each implemented once:
 //!

@@ -85,6 +85,9 @@ pub struct TraceStore {
 /// A reader over a stored trace file.
 pub type StoreReader = TraceReader<std::io::BufReader<std::fs::File>>;
 
+/// Subdirectory persisted sampling plans live in.
+const PLANS_SUBDIR: &str = "plans";
+
 /// Subdirectory rejected cache entries are moved into.
 pub const QUARANTINE_SUBDIR: &str = "quarantine";
 
@@ -111,7 +114,7 @@ impl TraceStore {
         let dir = BudgetDir::open(
             dir.into(),
             budget_bytes,
-            &[("", "rvpt"), ("plans", "json")],
+            &[("", "rvpt"), (PLANS_SUBDIR, "json")],
             "trace.store",
         )?;
         let counters =
@@ -290,6 +293,37 @@ impl TraceStore {
             Ok(n)
         };
         self.dir.publish(&self.path_for(meta), write, |_| {})
+    }
+
+    /// Content-addressed path of the persisted sampling plan `key`.
+    pub fn plan_path(&self, key: u64) -> PathBuf {
+        self.dir().join(PLANS_SUBDIR).join(format!("plan-{key:016x}.json"))
+    }
+
+    /// The text of the persisted sampling plan `key`; a hit counts as a
+    /// use for LRU eviction.
+    ///
+    /// # Errors
+    ///
+    /// The read error (`NotFound` when no plan is stored).
+    pub fn read_plan(&self, key: u64) -> std::io::Result<String> {
+        let path = self.plan_path(key);
+        let text = std::fs::read_to_string(&path)?;
+        self.dir.touch(&path);
+        Ok(text)
+    }
+
+    /// Persists a sampling plan's `text` under `key`, governed like a
+    /// trace ([`BudgetDir::publish`]): atomic, behind the disk-full
+    /// drill, and followed by eviction down to the budget.
+    ///
+    /// # Errors
+    ///
+    /// The injected disk-full fault, or the write's I/O error.
+    pub fn store_plan(&self, key: u64, text: &str) -> std::io::Result<()> {
+        let path = self.plan_path(key);
+        std::fs::create_dir_all(self.dir().join(PLANS_SUBDIR))?;
+        self.dir.publish(&path, |tmp| std::fs::write(tmp, text), |_| {})
     }
 
     /// Total bytes of governed files (traces and persisted sampling

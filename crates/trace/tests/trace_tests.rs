@@ -561,3 +561,36 @@ fn concurrent_captures_of_one_trace_publish_one_complete_file() {
         .collect();
     assert_eq!(names, vec![store.path_for(&meta).file_name().unwrap().to_string_lossy()]);
 }
+
+/// A persisted sampling plan is a governed file like a trace: its write
+/// takes the disk-full drill, and under a budget it evicts the least
+/// recently used entry.
+#[test]
+fn sampling_plan_writes_are_governed_like_traces() {
+    let _guard = chaos_guard();
+    let dir = TempDir::new("plans");
+    let program = looping_program(300);
+    let meta = meta_for(&program, 1 << 20);
+    let trace_bytes = {
+        let store = TraceStore::new(dir.path()).expect("store");
+        store.capture(&program, &meta).expect("capture");
+        std::fs::metadata(store.path_for(&meta)).expect("trace").len()
+    };
+    let store = TraceStore::with_budget(dir.path(), trace_bytes + 10).expect("store");
+    let plan = "p".repeat(64);
+
+    rvp_fail::configure("seed=2;store.disk.full=io@1,thread=sampling_plan_writes_are_governed")
+        .expect("valid spec");
+    let full = store.store_plan(1, &plan);
+    rvp_fail::disable();
+    assert!(full.is_err(), "the disk-full drill fails the plan write");
+    assert!(!store.plan_path(1).exists());
+    assert!(store.path_for(&meta).exists(), "the trace fits the budget alone");
+
+    // mtime granularity can be coarse; keep the LRU order unambiguous.
+    std::thread::sleep(std::time::Duration::from_millis(25));
+    store.store_plan(1, &plan).expect("plan write");
+    assert_eq!(store.read_plan(1).expect("stored plan"), plan);
+    assert!(!store.path_for(&meta).exists(), "the plan write evicted the older trace");
+    assert_eq!(store.counters().evicted(), 1);
+}

@@ -4,7 +4,7 @@ use rvp_mem::MemConfig;
 /// Execution latencies by functional-unit class, in cycles from issue to
 /// result broadcast. (The paper does not tabulate latencies; these are
 /// Alpha 21264-era values.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Latencies {
     /// Simple integer ALU ops, moves, branches.
     pub int_alu: u64,
@@ -46,7 +46,7 @@ impl Default for Latencies {
 /// ("double the instruction queue entries, functional units, renaming
 /// registers, and fetch bandwidth ... up to three basic blocks per
 /// cycle").
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct UarchConfig {
     /// Instructions fetched per cycle.
     pub fetch_width: usize,

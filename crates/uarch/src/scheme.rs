@@ -10,7 +10,7 @@ use crate::config::UarchConfig;
 use crate::meta::PredMode;
 
 /// Value-misprediction recovery mechanism (paper Section 4.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Recovery {
     /// A value mispredict is treated like a branch mispredict:
     /// instructions beginning with the first use of the predicted value
