@@ -28,8 +28,8 @@
 //! pre-refactor behaviour). `--metrics-out` enables the optional
 //! instrumentation (time series + per-PC telemetry) on every cell — the
 //! artifacts land inside the cell JSONs — and writes a grid-level
-//! summary (throughput, trace-cache and per-workload source counters,
-//! failures) to FILE.
+//! summary (throughput, per-workload source counters, failures) to
+//! FILE.
 //! `--sample SPEC` measures every cell by SimPoint-style sampled
 //! simulation (`auto`, or `interval=N,warmup=N,dims=N,max_k=N,seed=N`)
 //! and `--scale N` multiplies every workload's outer pass counts —
@@ -69,8 +69,9 @@
 //! ## Cost-model scheduling
 //!
 //! Every run records per-cell wall times into `OUT_DIR/grid_summary.json`
-//! (under `"cell_seconds"`), and the next run seeds the executor's cost
-//! model with them, so the grid runs longest-job-first: on a pool the
+//! (under `"cell_seconds"`, keeping the prior times of cells it did not
+//! plan), and the next run seeds the executor's cost model with them,
+//! so the grid runs longest-job-first: on a pool the
 //! makespan is set by whatever is still running at the end, so the
 //! expensive cells must start first. Cells with no recorded timing are
 //! estimated from their instruction budget at the mean observed
@@ -78,14 +79,14 @@
 //! estimate is equal, which keeps the grid order).
 //!
 //! The usual budget overrides (`RVP_MEASURE_INSTS`,
-//! `RVP_PROFILE_INSTS`) apply, `RVP_TRACE_DIR` enables the
-//! committed-trace cache, `RVP_THREADS` caps the worker count, and
-//! `RVP_FAIL` arms the deterministic fault-injection schedule (chaos
-//! testing).
-//! Failures and cache counters are also emitted as structured events
-//! through the `RVP_LOG` facade.
+//! `RVP_PROFILE_INSTS`) apply, `RVP_TRACE_DIR` names a directory that
+//! keeps sampling plans across sweeps, `RVP_THREADS` caps the worker
+//! count, and `RVP_FAIL` arms the deterministic fault-injection
+//! schedule (chaos testing).
+//! Failures are also emitted as structured events through the
+//! `RVP_LOG` facade.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
@@ -157,17 +158,10 @@ fn restore(
     prior: &HashMap<String, f64>,
 ) -> Option<CellSuccess> {
     let text = store.get(runner.cell_key(&cell.workload, &cell.scheme)).ok()??;
-    let committed = Json::parse(&text).ok()?.get("stats")?.get("committed")?.as_u64()?;
     let file = cell_file_name(cell.workload.name(), cell.scheme.label(), runner.sampling.is_some());
     write_atomic(&out_dir.join(file), text.as_bytes()).ok()?;
     let label = cell.label();
-    Some(CellSuccess {
-        seconds: prior.get(&label).copied(),
-        label,
-        result: None,
-        committed,
-        retries: 0,
-    })
+    Some(CellSuccess { seconds: prior.get(&label).copied(), label, result: None, retries: 0 })
 }
 
 fn main() -> ExitCode {
@@ -333,6 +327,7 @@ fn main() -> ExitCode {
     // Resume: export every planned cell the store holds, verified, and
     // run the rest.
     let prior = prior_cell_seconds(&out_dir);
+    let planned: HashSet<String> = cells.iter().map(GridCell::label).collect();
     let mut restored: Vec<CellSuccess> = Vec::new();
     if resume {
         cells.retain(|cell| match restore(&store, &runner, &out_dir, cell, &prior) {
@@ -483,13 +478,15 @@ fn main() -> ExitCode {
     let elapsed = start.elapsed();
     let mut successes = std::mem::take(&mut *successes.lock().expect("successes lock"));
     let mut poisoned = std::mem::take(&mut *poisoned.lock().expect("poisoned lock"));
-    // The cells restored from the store count as completed work.
+    // The cells restored from the store count as completed cells, not
+    // as simulated work.
     let resumed_cells = restored.len();
     successes.extend(restored);
     successes.sort_by(|a, b| a.label.cmp(&b.label));
     poisoned.sort_by(|a, b| a.label.cmp(&b.label));
 
-    let simulated: u64 = successes.iter().map(|s| s.committed).sum();
+    let simulated: u64 =
+        successes.iter().filter_map(|s| s.result.as_ref()).map(|r| r.stats.committed).sum();
     let total_retries: u64 = successes.iter().map(|s| s.retries).sum::<u64>()
         + poisoned.iter().map(|p| p.attempts.saturating_sub(1)).sum::<u64>();
     println!(
@@ -512,74 +509,41 @@ fn main() -> ExitCode {
             t.live_fallbacks
         );
     }
-    let quarantined = runner.traces.as_ref().map_or(0, |s| s.counters().quarantined());
     let injected = rvp_fail::snapshot();
     let failures = Json::obj([
         ("count", (poisoned.len() as u64).into()),
         ("poisoned", Json::Arr(poisoned.iter().map(PoisonedCell::to_json).collect())),
         ("retries", total_retries.into()),
-        ("quarantined", quarantined.into()),
         (
             "injected",
             Json::Obj(injected.iter().map(|(site, n)| (site.clone(), (*n).into())).collect()),
         ),
     ]);
-    let mut summary: Vec<(String, Json)> = vec![
-        ("cells".into(), (successes.len() as u64).into()),
-        ("failures".into(), failures),
-        ("resumed_cells".into(), (resumed_cells as u64).into()),
-        ("elapsed_s".into(), elapsed.as_secs_f64().into()),
-        ("simulated_insts".into(), simulated.into()),
-        ("profiles".into(), (runner.profiles.len() as u64).into()),
-        ("simulations".into(), (runner.runs.len() as u64).into()),
-        ("source_mode".into(), runner.source_mode.name().into()),
+    // Cells this run did not plan keep their prior times for the next
+    // run's schedule.
+    let mut cell_seconds: BTreeMap<String, f64> =
+        prior.into_iter().filter(|(label, _)| !planned.contains(label)).collect();
+    cell_seconds.extend(successes.iter().filter_map(|s| Some((s.label.clone(), s.seconds?))));
+    let summary = Json::obj([
+        ("cells", (successes.len() as u64).into()),
+        ("failures", failures),
+        ("resumed_cells", (resumed_cells as u64).into()),
+        ("elapsed_s", elapsed.as_secs_f64().into()),
+        ("simulated_insts", simulated.into()),
+        ("profiles", (runner.profiles.len() as u64).into()),
+        ("simulations", (runner.runs.len() as u64).into()),
+        ("source_mode", runner.source_mode.name().into()),
         (
-            "cell_seconds".into(),
-            Json::Obj(
-                successes
-                    .iter()
-                    .filter_map(|s| Some((s.label.clone(), s.seconds?.into())))
-                    .collect(),
-            ),
+            "cell_seconds",
+            Json::Obj(cell_seconds.into_iter().map(|(label, secs)| (label, secs.into())).collect()),
         ),
         (
-            "trace_sources".into(),
+            "trace_sources",
             Json::Obj(
                 sources.iter().map(|(wl, tally)| ((*wl).to_owned(), tally.to_json())).collect(),
             ),
         ),
-    ];
-    if let Some(store) = &runner.traces {
-        let c = store.counters();
-        println!(
-            "trace cache ({}): {} hits, {} captures, {} fallbacks, {} quarantined",
-            store.dir().display(),
-            c.hits(),
-            c.captures(),
-            c.fallbacks(),
-            c.quarantined()
-        );
-        log::info(
-            "rvp-grid",
-            "trace cache counters",
-            &[
-                ("dir", store.dir().display().to_string().into()),
-                ("hits", c.hits().into()),
-                ("captures", c.captures().into()),
-                ("fallbacks", c.fallbacks().into()),
-                ("quarantined", c.quarantined().into()),
-            ],
-        );
-        summary.push((
-            "trace_cache".into(),
-            Json::obj([
-                ("hits", c.hits().into()),
-                ("captures", c.captures().into()),
-                ("fallbacks", c.fallbacks().into()),
-                ("quarantined", c.quarantined().into()),
-            ]),
-        ));
-    }
+    ]);
     log::info(
         "rvp-grid",
         "grid complete",
@@ -591,7 +555,6 @@ fn main() -> ExitCode {
             ("simulated_insts", simulated.into()),
         ],
     );
-    let summary = Json::Obj(summary);
     // The on-disk summary feeds the next run's schedule; `--metrics-out`
     // additionally mirrors it wherever CI wants the artifact.
     if let Err(e) = write_atomic(&out_dir.join(SUMMARY_FILE), format!("{summary}\n").as_bytes()) {

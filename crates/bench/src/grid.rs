@@ -77,8 +77,6 @@ pub struct CellSuccess {
     /// The simulation result (`None` for a cell restored from the store
     /// by `--resume`).
     pub result: Option<RunResult>,
-    /// Committed instructions (kept separately so restored cells count).
-    pub committed: u64,
     /// Wall seconds this cell took; a restored cell carries its time
     /// from the previous summary, if that recorded one.
     pub seconds: Option<f64>,
@@ -329,7 +327,6 @@ pub fn write_cell(
             run.span.add_field("retries", run.attempts - 1);
             Ok(CellSuccess {
                 label: run.label,
-                committed: run.result.stats.committed,
                 result: Some(run.result),
                 seconds: Some(run.started.elapsed().as_secs_f64()),
                 retries: run.attempts - 1,

@@ -5,8 +5,6 @@
 //!
 //! * transient faults are retried and the sweep still succeeds, with
 //!   every surviving cell **bit-identical** to the fault-free run;
-//! * trace-layer corruption is quarantined and the trace re-captured,
-//!   again bit-identically;
 //! * a cell that fails every rung of the degradation ladder is reported
 //!   as poisoned in the summary's `failures` section and turns the exit
 //!   code into 20 — it never aborts the rest of the sweep.
@@ -136,38 +134,6 @@ fn cell_write_fault_is_retried_bit_identically() {
         injected.get("grid.cell.write").and_then(Json::as_u64) == Some(1),
         "summary must attribute the injected fault to its site: {injected}"
     );
-}
-
-#[test]
-fn trace_corruption_degrades_bit_identically() {
-    let baseline = common::TempDir::new("degrade-baseline");
-    let out = run_grid(baseline.path(), &[], &[]);
-    assert!(out.status.success(), "baseline failed: {}", String::from_utf8_lossy(&out.stderr));
-    let want = cell_files(baseline.path());
-
-    // With the on-disk trace cache enabled, flip a bit in the first
-    // frame read back from it: the checksum rejects the frame and the
-    // store quarantines the trace and re-captures it — same committed
-    // stream, same stats, byte for byte.
-    let chaotic = common::TempDir::new("degrade-chaos");
-    let traces = chaotic.path().join("traces");
-    std::fs::create_dir_all(&traces).expect("trace dir");
-    let out = run_grid(
-        chaotic.path(),
-        &[],
-        &[
-            ("RVP_FAIL", "seed=5;trace.reader.frame=flip@1"),
-            ("RVP_TRACE_DIR", traces.to_str().expect("utf8 path")),
-        ],
-    );
-    assert!(out.status.success(), "degraded run failed: {}", String::from_utf8_lossy(&out.stderr));
-    assert_eq!(
-        cell_files(chaotic.path()),
-        want,
-        "cells served through the degradation path must be bit-identical"
-    );
-    let s = summary(chaotic.path());
-    assert_eq!(failures_u64(&s, "count"), 0);
 }
 
 #[test]

@@ -10,12 +10,22 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use common::{cell_files, failures_u64, grid_command, run_grid, summary, summary_u64, CELLS};
+use rvp_core::Json;
 
 /// The cell-store entries under `dir/cache`.
 fn store_entries(dir: &Path) -> Vec<PathBuf> {
     let Ok(entries) = std::fs::read_dir(dir.join("cache")) else { return Vec::new() };
     let paths = entries.filter_map(Result::ok).map(|e| e.path());
     paths.filter(|p| p.extension().is_some_and(|x| x == "json")).collect()
+}
+
+/// The committed instructions of the cell a store entry
+/// (`<checksum> <cell JSON>`) holds.
+fn stored_committed(entry: &Path) -> u64 {
+    let text = std::fs::read_to_string(entry).expect("read entry");
+    let (_, cell) = text.split_once(' ').expect("checksummed entry");
+    let cell = Json::parse(cell).expect("cell JSON");
+    cell.get("stats").and_then(|s| s.get("committed")).and_then(Json::as_u64).expect("committed")
 }
 
 /// The store entry holding the cell of `workload` and `scheme`.
@@ -64,6 +74,8 @@ fn killed_sweep_resumes_to_identical_results() {
     let partial = cell_files(victim.path());
     assert!(!partial.is_empty() && (partial.len() as u64) < CELLS, "kill landed mid-sweep");
     assert!(!victim.path().join("grid_summary.json").exists());
+    let stored = store_entries(victim.path());
+    let stored_insts: u64 = stored.iter().map(|entry| stored_committed(entry)).sum();
 
     // Resume: stored cells are exported, the rest re-run, and the
     // merged output is identical to the uninterrupted sweep.
@@ -74,16 +86,16 @@ fn killed_sweep_resumes_to_identical_results() {
     let s = summary(victim.path());
     assert_eq!(summary_u64(&s, "cells"), summary_u64(&want_summary, "cells"));
     assert_eq!(
-        summary_u64(&s, "simulated_insts"),
+        summary_u64(&s, "simulated_insts") + stored_insts,
         summary_u64(&want_summary, "simulated_insts"),
-        "restored cells must contribute their stored instruction counts"
+        "only the cells simulated in this run count as simulated work"
     );
     assert_eq!(
-        s.get("source_mode").and_then(rvp_core::Json::as_str),
-        want_summary.get("source_mode").and_then(rvp_core::Json::as_str)
+        s.get("source_mode").and_then(Json::as_str),
+        want_summary.get("source_mode").and_then(Json::as_str)
     );
     assert_eq!(failures_u64(&s, "count"), 0);
-    assert!(summary_u64(&s, "resumed_cells") >= 2, "the stored cells must be restored");
+    assert_eq!(summary_u64(&s, "resumed_cells"), stored.len() as u64, "stored cells are restored");
 
     // A tampered exported file comes back byte-identical from the
     // store: no cell re-runs.
@@ -91,7 +103,13 @@ fn killed_sweep_resumes_to_identical_results() {
     let out = run_grid(victim.path(), &["--resume"], &[]);
     assert!(out.status.success(), "re-resume failed: {}", String::from_utf8_lossy(&out.stderr));
     assert_eq!(cell_files(victim.path()), want, "the exported cell must be restored");
-    assert_eq!(summary_u64(&summary(victim.path()), "resumed_cells"), CELLS);
+    let s = summary(victim.path());
+    assert_eq!(summary_u64(&s, "resumed_cells"), CELLS);
+    assert_eq!(
+        summary_u64(&s, "simulated_insts"),
+        0,
+        "a sweep restoring every cell simulates none"
+    );
 
     // A store entry edited to a still-parseable value fails its
     // checksum: exactly that cell re-runs, and its entry is rewritten.
@@ -125,6 +143,8 @@ fn resume_reuses_exactly_the_cells_whose_key_matches() {
 
     let fewer = ["--resume", "--schemes", "no_predict,lvp"];
     assert_eq!(resumed(&fewer), 4, "dropping a scheme keeps the other cells");
+    let timed = summary(dir.path()).get("cell_seconds").and_then(Json::as_obj).map(<[_]>::len);
+    assert_eq!(timed, Some(CELLS as usize), "a subset sweep keeps the other cells' timings");
     assert_eq!(resumed(&["--resume", "--source", "live"]), CELLS, "the source is not in the key");
     assert_eq!(cell_files(dir.path()), want);
 

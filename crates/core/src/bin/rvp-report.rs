@@ -23,8 +23,7 @@
 //!    written with `rvp-grid --metrics-out`,
 //! 6. a resilience section from the same summary: poisoned cells (with
 //!    the ladder stage and error that killed them), total retries,
-//!    quarantined trace files, resumed cells and any injected
-//!    failpoint hits from a chaos run,
+//!    resumed cells and any injected failpoint hits from a chaos run,
 //! 7. a serving section for any `rvp-serve` metrics snapshot in the
 //!    directory (a `/metrics` download): request/error/job counters,
 //!    cache hit rate, queue high-water mark and the latency histogram
@@ -548,7 +547,7 @@ fn print_trace_sources(dir: &Path) {
 /// Renders the failure-containment section of any grid summary in
 /// `dir` (a file with a structured `failures` object — the shape
 /// `rvp-grid` writes): poisoned cells with the degradation-ladder stage
-/// and error that ended them, retry/quarantine/resume counters, and
+/// and error that ended them, retry and resume counters, and
 /// per-site injected-fault counts from a chaos run.
 fn print_resilience(dir: &Path) {
     let Ok(entries) = std::fs::read_dir(dir) else { return };
@@ -580,11 +579,10 @@ fn print_resilience(dir: &Path) {
             .unwrap_or(0);
         println!("\nresilience ({})", path.display());
         println!(
-            "  poisoned {}  cancelled {}  retries {}  quarantined {}  resumed {}",
+            "  poisoned {}  cancelled {}  retries {}  resumed {}",
             count("count"),
             cancelled,
             count("retries"),
-            count("quarantined"),
             resumed
         );
         if let Some(poisoned) = failures.get("poisoned").and_then(Json::as_arr) {

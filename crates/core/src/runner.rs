@@ -5,14 +5,12 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use rvp_emu::Committed;
 use rvp_isa::Program;
 use rvp_json::{Json, ToJson};
-use rvp_obs::log;
 use rvp_profile::{Fig1Row, PlanScope, PredictionPlan, Profile, ProfileConfig};
 use rvp_realloc::{reallocate, ReallocOptions};
 use rvp_sample::{combine_weighted, Checkpoints, SamplePlan, SampleSpec, SampleWindow};
-use rvp_trace::{program_hash, Fnv1a, TraceInput, TraceMeta, TraceStore};
+use rvp_trace::{program_hash, Fnv1a, TraceStore};
 use rvp_uarch::TraceColumns;
 use rvp_uarch::{
     ObsConfig, PlanMode, Recovery, Scheme, SharedSource, SimError, SimStats, Simulator, UarchConfig,
@@ -81,9 +79,9 @@ pub enum SourceMode {
     /// Re-emulate the workload inside every cell (the pre-refactor
     /// behaviour, and the fallback whenever no trace can serve).
     Live,
-    /// Decode the committed trace once per workload into an
-    /// columnar [`TraceColumns`] shared by every cell — the default: a grid
-    /// pays for functional emulation once per workload, not per cell.
+    /// Capture the committed stream once per workload into a columnar
+    /// [`TraceColumns`] shared by every cell — the default: a grid pays
+    /// for functional emulation once per workload, not per cell.
     #[default]
     Shared,
 }
@@ -107,15 +105,15 @@ impl SourceMode {
     }
 }
 
-/// Cache key for a shared decoded trace: (workload, input, budget,
+/// Cache key for a shared in-memory trace: (workload, input, budget,
 /// scale) — the same key shape as [`ProfileKey`], and for the same
 /// reason.
 type TraceKey = (&'static str, Input, u64, u64);
 
-/// A thread-safe memo of decoded in-memory traces, shared by clones of
+/// A thread-safe memo of captured in-memory traces, shared by clones of
 /// a [`Runner`] exactly like [`ProfileCache`]: grid threads racing on
-/// the *same* workload decode it once while different workloads decode
-/// in parallel.
+/// the *same* workload capture it once while different workloads
+/// capture in parallel.
 ///
 /// With a byte budget set ([`SharedTraceCache::set_budget_bytes`],
 /// accounted via [`TraceColumns::approx_bytes`]), the least-recently
@@ -211,7 +209,7 @@ impl fmt::Debug for SharedTraceCache {
 /// Per-workload tally of how measurement runs were fed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SourceTally {
-    /// Traces decoded into memory for this workload.
+    /// Traces captured into memory for this workload.
     pub captures: u64,
     /// Measurement runs served from a shared in-memory trace.
     pub shared_hits: u64,
@@ -352,14 +350,15 @@ pub struct Runner {
     /// cells that hand the timing core the same input simulate once
     /// ([`Runner::run`]); `runs.len()` counts the distinct simulations.
     pub runs: RunMemo,
-    /// On-disk committed-trace cache; when present, profiles are
-    /// collected by replaying traces instead of re-running the emulator.
-    /// Defaults to the `RVP_TRACE_DIR` environment variable.
+    /// On-disk store of sampling plans: a sampled run loads its plan
+    /// from here when one is stored and persists the plans it builds.
+    /// Committed streams always come from the emulator. Defaults to the
+    /// `RVP_TRACE_DIR` environment variable.
     pub traces: Option<TraceStore>,
     /// Where measurement runs get their committed stream (shared
     /// in-memory traces by default).
     pub source_mode: SourceMode,
-    /// Memo of decoded in-memory traces, shared across clones (and
+    /// Memo of captured in-memory traces, shared across clones (and
     /// therefore across the threads of a parallel grid).
     pub shared_traces: SharedTraceCache,
     /// Per-workload capture / shared-hit / live-fallback telemetry,
@@ -437,9 +436,8 @@ impl Runner {
     /// The profile of `wl`'s program on `input`, or of `transformed` (a
     /// transformation of that program, such as a register reallocation),
     /// over [`Runner::profile_insts`] committed instructions. It is
-    /// memoized in [`Runner::profiles`] and served from the trace cache
-    /// when one is configured; the train program's profile is the one
-    /// every profile-guided scheme plans from.
+    /// memoized in [`Runner::profiles`]; the train program's profile is
+    /// the one every profile-guided scheme plans from.
     ///
     /// # Errors
     ///
@@ -465,38 +463,10 @@ impl Runner {
         self.profiles.get_or_try_init(key, || {
             let program =
                 transformed.map_or_else(|| Cow::Owned(self.program_for(wl, input)), Cow::Borrowed);
-            self.collect_profile(wl.name(), input, &program, budget).map(Arc::new)
+            let _span = rvp_obs::span!("runner.profile", { workload: wl.name(), budget });
+            let cfg = ProfileConfig { max_insts: budget, min_execs: 32 };
+            Profile::collect(&program, &cfg).map(Arc::new).map_err(SimError::Emu)
         })
-    }
-
-    /// Collects a profile, replaying a cached trace when a [`TraceStore`]
-    /// is configured. The store replaces a trace that fails mid-read
-    /// with a fresh capture; a second failure falls back to live
-    /// emulation. The trace subsystem can slow an experiment down but
-    /// never fail it.
-    fn collect_profile(
-        &self,
-        name: &'static str,
-        input: Input,
-        program: &Program,
-        budget: u64,
-    ) -> Result<Profile, SimError> {
-        let _span = rvp_obs::span!("runner.profile", { workload: name, budget });
-        let cfg = ProfileConfig { max_insts: budget, min_execs: 32 };
-        if let Some(store) = &self.traces {
-            let meta = TraceMeta::for_program(name, trace_input(input), budget, program);
-            match store.read_or_capture(program, &meta, |reader| {
-                Profile::collect_stream(program, &cfg, reader)
-            }) {
-                Ok(profile) => return Ok(profile),
-                Err(e) => log::warn(
-                    "rvp_core::runner",
-                    "trace replay failed; falling back to live emulation",
-                    &[("workload", name.into()), ("error", e.to_string().into())],
-                ),
-            }
-        }
-        Profile::collect(program, &cfg).map_err(SimError::Emu)
     }
 
     /// The register reallocation `drvp_all_realloc` applies.
@@ -645,21 +615,19 @@ impl Runner {
 
     /// FNV-1a over everything the measurement of `cell` reads: the
     /// scheme's prediction part ([`Scheme::hash_prediction`]), the
-    /// simulated program, the recovery model, the machine, the budget
-    /// and the instrumentation, plus the sampling spec and base program
+    /// simulated program, the recovery model, the machine, the budget,
+    /// the instrumentation and the sampling spec, plus the base program
     /// for a sampled cell. The scheme label, the plan source, the
     /// source mode (every source is bit-identical) and the cancel token
-    /// are left out.
+    /// are left out. Like [`Runner::cell_key`], it hashes the knobs'
+    /// fields rather than their text.
     fn fingerprint(&self, cell: &PreparedCell) -> u64 {
         let program = cell.transformed.as_ref().unwrap_or(&cell.base);
         let mut h = Fnv1a::default();
         cell.scheme.hash_prediction(program, &self.config, &mut h);
         h.write_u64(cell.simulated_hash);
-        let machine =
-            format!("|{:?}|{}|{:?}|{:?}", self.recovery, self.measure_insts, self.config, self.obs);
-        h.write(machine.as_bytes());
-        if let Some(spec) = &self.sampling {
-            h.write(spec.fingerprint_component().as_bytes());
+        (self.recovery, self.measure_insts, &self.config, &self.obs, self.sampling).hash(&mut h);
+        if self.sampling.is_some() {
             h.write_u64(cell.base_hash);
         }
         h.finish()
@@ -757,7 +725,7 @@ impl Runner {
     /// The sampling plan built from `base` and the windows it cuts from
     /// `stream`'s committed records, each memoized in
     /// [`Runner::samples`]: the plan under `base`'s hash (and
-    /// content-addressed on disk next to the trace store), the windows
+    /// content-addressed on disk in [`Runner::traces`]), the windows
     /// under `stream`'s, so every program with the same committed
     /// stream shares one window set. Each program comes with its
     /// [`program_hash`].
@@ -793,31 +761,14 @@ impl Runner {
         Ok((plan, windows))
     }
 
-    /// The shared decoded ref trace for `wl`, materialized on first use
-    /// (per (workload, input, budget) key): decoded from the on-disk
-    /// store when one is configured — the store re-captures a trace
-    /// that fails mid-read, and a second failure falls back to direct
-    /// in-memory capture — else captured straight from the emulator.
+    /// The shared ref trace for `wl`, captured from the emulator on
+    /// first use (per (workload, input, budget, scale) key).
     fn shared_ref_trace(&self, wl: &Workload) -> Result<Arc<TraceColumns>, SimError> {
         let name = wl.name();
         let key = (name, Input::Ref, self.measure_insts, self.workload_scale);
         let (trace, captured) = self.shared_traces.get_or_capture(key, || {
             let _span = rvp_obs::span!("runner.trace.load", { workload: name });
-            let base = self.program_for(wl, Input::Ref);
-            if let Some(store) = &self.traces {
-                let meta = TraceMeta::for_program(name, TraceInput::Ref, self.measure_insts, &base);
-                match store.read_or_capture(&base, &meta, |reader| {
-                    reader.collect::<Result<Vec<Committed>, _>>()
-                }) {
-                    Ok(records) => return Ok(Arc::new(TraceColumns::from_records(&records))),
-                    Err(e) => log::warn(
-                        "rvp_core::runner",
-                        "trace decode failed; capturing shared trace live",
-                        &[("workload", name.into()), ("error", e.to_string().into())],
-                    ),
-                }
-            }
-            SharedSource::capture(&base, self.measure_insts)
+            SharedSource::capture(&self.program_for(wl, Input::Ref), self.measure_insts)
         })?;
         if captured {
             self.source_counters.bump(name, |t| t.captures += 1);
@@ -880,13 +831,6 @@ fn mark_rvp_loads(program: &Program, plan: &PredictionPlan) -> Program {
             inst
         }
     })
-}
-
-fn trace_input(input: Input) -> TraceInput {
-    match input {
-        Input::Train => TraceInput::Train,
-        Input::Ref => TraceInput::Ref,
-    }
 }
 
 #[cfg(test)]
@@ -988,55 +932,11 @@ mod tests {
     }
 
     #[test]
-    fn trace_replay_run_matches_live_run() {
-        let dir =
-            std::env::temp_dir().join(format!("rvp-runner-trace-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = TraceStore::new(&dir).unwrap();
-        let wl = by_name("li").unwrap();
-        let scheme = &spec("drvp_all_dead_lv");
-
-        let live = Runner { traces: None, source_mode: SourceMode::Live, ..quick_runner() };
-        let want = live.run(&wl, scheme).unwrap();
-
-        // First traced runner captures train (profile) and ref
-        // (measurement) traces, then replays them.
-        let traced = Runner { traces: Some(store.clone()), ..quick_runner() };
-        let replayed = traced.run(&wl, scheme).unwrap();
-        assert_eq!(want.stats, replayed.stats);
-        assert_eq!(store.counters().captures(), 2);
-
-        // A fresh runner (empty profile and trace caches) hits the
-        // on-disk traces.
-        let warm = Runner { traces: Some(store.clone()), ..quick_runner() };
-        let from_disk = warm.run(&wl, scheme).unwrap();
-        assert_eq!(want.stats, from_disk.stats);
-        assert!(store.counters().hits() >= 2);
-
-        // Profiling the stored train trace reproduces the emulated
-        // profile exactly.
-        let train = warm.program_for(&wl, Input::Train);
-        let cfg = ProfileConfig { max_insts: warm.profile_insts, min_execs: 32 };
-        let meta = TraceMeta::for_program(wl.name(), TraceInput::Train, cfg.max_insts, &train);
-        let emulated = Profile::collect(&train, &cfg).unwrap();
-        let replayed = store
-            .read_or_capture(&train, &meta, |reader| Profile::collect_stream(&train, &cfg, reader))
-            .unwrap();
-        assert!(emulated == replayed, "replayed train profile differs from the emulated one");
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn all_source_modes_agree_and_are_counted() {
-        let dir =
-            std::env::temp_dir().join(format!("rvp-runner-source-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = TraceStore::new(&dir).unwrap();
         let wl = by_name("m88ksim").unwrap();
 
         let run_mode = |mode: SourceMode| {
-            let r = Runner { traces: Some(store.clone()), source_mode: mode, ..quick_runner() };
+            let r = Runner { source_mode: mode, ..quick_runner() };
             r.prewarm_trace(&wl).unwrap();
             let a = r.run(&wl, &spec("drvp_all")).unwrap();
             let b = r.run(&wl, &spec("no_predict")).unwrap();
@@ -1055,8 +955,6 @@ mod tests {
         // back to live for the reallocated cell.
         assert_eq!(lt, SourceTally::default());
         assert_eq!(st, SourceTally { captures: 1, shared_hits: 2, live_fallbacks: 1 });
-
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Paper-scale methodology gate: for every paper scheme, sampled
@@ -1174,9 +1072,9 @@ mod tests {
         assert_eq!(r.samples.windows_len(), 2);
     }
 
-    /// The sampling plan is persisted content-addressed next to the
-    /// trace store and reloaded by a fresh runner; a corrupt file is
-    /// rebuilt, not trusted.
+    /// The sampling plan is persisted content-addressed in the store and
+    /// reloaded by a fresh runner; a corrupt file is rebuilt, not
+    /// trusted.
     #[test]
     fn sample_plan_is_cached_on_disk_and_reloaded() {
         let dir = std::env::temp_dir().join(format!("rvp-runner-plan-test-{}", std::process::id()));
@@ -1208,6 +1106,36 @@ mod tests {
         let rebuilt = sampled().run(&wl, &spec("no_predict")).unwrap();
         assert_eq!(first.sampling, rebuilt.sampling);
         assert_eq!(first.stats, rebuilt.stats);
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A store holds sampling plans only: with one set, a detailed and
+    /// a sampled cell give the stats of a runner without one, and the
+    /// store directory gains no trace file, only `plans/plan-*.json`.
+    #[test]
+    fn a_store_holds_sampling_plans_and_no_traces() {
+        let dir =
+            std::env::temp_dir().join(format!("rvp-runner-store-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = TraceStore::new(&dir).unwrap();
+        let (wl, scheme) = (by_name("li").unwrap(), spec("drvp_all_dead_lv"));
+        let sample = Some(SampleSpec { interval_insts: 20_000, ..SampleSpec::default() });
+        for sampling in [None, sample] {
+            let bare = Runner { traces: None, sampling, ..quick_runner() };
+            let stored = Runner { traces: Some(store.clone()), sampling, ..quick_runner() };
+            let want = bare.run(&wl, &scheme).unwrap();
+            assert_eq!(stored.run(&wl, &scheme).unwrap().stats, want.stats, "{sampling:?}");
+        }
+
+        let files = |dir: &std::path::Path| -> Vec<String> {
+            let entries = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap());
+            entries.map(|e| e.file_name().to_string_lossy().into_owned()).collect()
+        };
+        assert_eq!(files(&dir), ["plans"], "the store root holds no trace");
+        let plans = files(&dir.join("plans"));
+        assert_eq!(plans.len(), 1, "{plans:?}");
+        assert!(plans[0].starts_with("plan-") && plans[0].ends_with(".json"), "{plans:?}");
 
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1250,16 +1178,14 @@ mod tests {
     }
 
     /// The columnar (SoA) trace view must be bit-identical, record for
-    /// record, with the AoS `Committed` streams the live source and the
-    /// on-disk trace produce — the structure-of-arrays split is a layout change,
-    /// never a value change.
+    /// record, with the AoS `Committed` stream the live source produces
+    /// — the structure-of-arrays split is a layout change, never a
+    /// value change.
     #[test]
     fn source_equivalence_soa_view_matches_aos_records() {
+        use rvp_emu::Committed;
         use rvp_uarch::{CommittedSource, EmuSource};
 
-        let dir = std::env::temp_dir().join(format!("rvp-runner-soa-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = TraceStore::new(&dir).unwrap();
         let wl = by_name("li").unwrap();
         let budget = 50_000u64;
         let program = wl.program(Input::Ref);
@@ -1273,12 +1199,6 @@ mod tests {
                 None => break,
             }
         }
-
-        // AoS stream decoded back from the on-disk trace container.
-        let meta = TraceMeta::for_program(wl.name(), TraceInput::Ref, budget, &program);
-        let replay_records: Vec<Committed> =
-            store.read_or_capture(&program, &meta, |reader| reader.collect()).unwrap();
-        assert_eq!(live_records, replay_records);
 
         // The SoA view the shared source serves: identical records, and
         // the hot PC column agrees with the assembled record at every
@@ -1294,7 +1214,5 @@ mod tests {
             assert_eq!(shared.next_record().unwrap().as_ref(), Some(want));
         }
         assert_eq!(shared.next_record().unwrap(), None);
-
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

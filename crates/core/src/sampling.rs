@@ -11,7 +11,7 @@
 //! they carry — the base program for every scheme but a register
 //! reallocation that renamed a destination — so marked programs share
 //! the base windows too. Plans are memoized in memory and persisted
-//! content-addressed in the trace store, so re-running a sweep skips
+//! content-addressed in the runner's store, so re-running a sweep skips
 //! the profiling pass entirely.
 
 use std::sync::Arc;

@@ -4,24 +4,18 @@
 //! test per recovery so the matrix parallelizes.
 
 use rvp_core::{
-    by_name, paper_schemes, ProfileCache, Recovery, Runner, SourceMode, SourceTally, TraceStore,
-    Workload,
+    by_name, paper_schemes, ProfileCache, Recovery, Runner, SourceMode, SourceTally, Workload,
 };
 
 const WORKLOADS: [&str; 2] = ["li", "hydro2d"];
 
-fn runner(
-    mode: SourceMode,
-    recovery: Recovery,
-    store: &TraceStore,
-    profiles: &ProfileCache,
-) -> Runner {
+fn runner(mode: SourceMode, recovery: Recovery, profiles: &ProfileCache) -> Runner {
     Runner {
         recovery,
         profile_insts: 40_000,
         measure_insts: 20_000,
         profiles: profiles.clone(),
-        traces: Some(store.clone()),
+        traces: None,
         source_mode: mode,
         ..Runner::default()
     }
@@ -34,10 +28,6 @@ fn add(sum: &mut SourceTally, t: SourceTally) {
 }
 
 fn check_recovery(recovery: Recovery) {
-    let dir = std::env::temp_dir()
-        .join(format!("rvp-source-equivalence-{recovery:?}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = TraceStore::new(&dir).unwrap();
     // One profile collection per workload, shared by every runner.
     let profiles = ProfileCache::default();
 
@@ -48,8 +38,8 @@ fn check_recovery(recovery: Recovery) {
         // source instead of sharing a peer's simulation.
         let mut shared_tally = SourceTally::default();
         for scheme in &paper_schemes() {
-            let live = runner(SourceMode::Live, recovery, &store, &profiles);
-            let shared = runner(SourceMode::Shared, recovery, &store, &profiles);
+            let live = runner(SourceMode::Live, recovery, &profiles);
+            let shared = runner(SourceMode::Shared, recovery, &profiles);
             let want = live.run(&wl, scheme).unwrap();
             let s = shared.run(&wl, scheme).unwrap();
             assert_eq!(want.stats, s.stats, "{name}/{}/{recovery:?}: shared", scheme.label());
@@ -66,8 +56,6 @@ fn check_recovery(recovery: Recovery) {
             "{name}/{recovery:?}: shared served runs"
         );
     }
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

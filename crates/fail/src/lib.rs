@@ -3,7 +3,7 @@
 //! Production simulation sweeps die in ways unit tests never exercise:
 //! a short read from a cold cache file, a torn write on a full disk, a
 //! worker panic deep inside one grid cell. This crate provides *named
-//! injection sites* that the trace store, the replay path and the grid
+//! injection sites* that the trace store, the trace reader and the grid
 //! workers consult, and a schedule — parsed once from the `RVP_FAIL`
 //! environment variable (or [`configure`] in tests) — that decides
 //! deterministically which hits of which site actually fault.

@@ -2,7 +2,7 @@
 //!
 //! The workspace grew counters in four places — [`ServeMetrics`],
 //! the runner's `SourceCounters`, `rvp-fail`'s fired-site counters and
-//! the trace store's quarantine count — each with its own snapshot
+//! the trace store's eviction count — each with its own snapshot
 //! shape. [`MetricsRegistry`] unifies them behind one pull model:
 //! subsystems register a collector closure, and `/metrics?format=prom`
 //! (or [`MetricsRegistry::to_json`]) gathers them all at request time.

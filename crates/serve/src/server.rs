@@ -44,7 +44,8 @@ use crate::spec::SweepSpec;
 pub struct ServeConfig {
     /// Listen address, e.g. `127.0.0.1:7341` (`:0` picks a free port).
     pub addr: String,
-    /// State directory: journal, result cache, cell files, trace store.
+    /// State directory: journal, result cache, cell files, and the
+    /// sampling plans under `traces/`.
     pub state_dir: PathBuf,
     /// Simulation worker threads.
     pub workers: usize,
@@ -71,7 +72,8 @@ pub struct ServeConfig {
     /// Result-cache disk budget in bytes (`0` = unlimited); beyond it,
     /// least-recently-used entries are evicted after each write.
     pub cache_budget_bytes: u64,
-    /// Trace-store disk budget in bytes (`0` = unlimited).
+    /// Byte budget of the plan store under `traces/` and, separately,
+    /// of the captured in-memory traces (`0` = unlimited).
     pub trace_budget_bytes: u64,
     /// Socket read timeout in seconds: a client that stalls mid-request
     /// this long gets a 408; an idle keep-alive connection is reaped
@@ -371,8 +373,8 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
         );
     }
     if cfg.trace_budget_bytes > 0 {
-        // One budget governs both trace tiers: the on-disk store above
-        // and the decoded in-memory copies the workers share.
+        // One budget governs the on-disk plan store above and the
+        // captured in-memory traces the workers share.
         base.shared_traces.set_budget_bytes(cfg.trace_budget_bytes);
     }
 
@@ -464,8 +466,8 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
 
 /// Wires every counter family in the process into the unified registry:
 /// the daemon's own [`ServeMetrics`], the runner's per-workload source
-/// tallies and shared-trace evictions, the trace store's
-/// cache/quarantine counters, and `rvp-fail`'s fired-site counters.
+/// tallies and shared-trace evictions, the trace store's eviction
+/// counter, and `rvp-fail`'s fired-site counters.
 fn register_collectors(inner: &Arc<Inner>) {
     let metrics = Arc::clone(&inner.metrics);
     inner.registry.register(move || metrics.metrics());

@@ -160,7 +160,7 @@ impl SweepSpec {
     }
 
     /// A runner for this sweep: `base`'s shared caches (profiles,
-    /// in-memory traces, trace store — this is what makes the daemon
+    /// in-memory traces, sampling-plan store — this is what makes the daemon
     /// multi-tenant) with this spec's knobs layered on top, and a fresh
     /// run memo ([`Runner::runs`]). Cells of one job that resolve to
     /// the same machine input simulate once; the memo drops with the

@@ -307,23 +307,6 @@ fn sigterm_drain_exits_zero_and_loses_none_of_500_admitted_jobs() {
     assert!(metric(&revived, "jobs_resumed") >= 1);
 }
 
-/// Sums the bytes of the files the trace-store budget governs.
-fn governed_trace_bytes(state_dir: &Path) -> u64 {
-    let mut total = 0;
-    for sub in ["traces", "traces/plans"] {
-        let Ok(entries) = std::fs::read_dir(state_dir.join(sub)) else { continue };
-        for entry in entries.filter_map(Result::ok) {
-            let path = entry.path();
-            let governed = path.extension().is_some_and(|x| x == "rvpt")
-                || (sub.ends_with("plans") && path.extension().is_some_and(|x| x == "json"));
-            if governed {
-                total += entry.metadata().map(|m| m.len()).unwrap_or(0);
-            }
-        }
-    }
-    total
-}
-
 fn dir_bytes(dir: &Path) -> u64 {
     let Ok(entries) = std::fs::read_dir(dir) else { return 0 };
     entries.filter_map(Result::ok).filter_map(|e| e.metadata().ok()).map(|m| m.len()).sum()
@@ -331,16 +314,17 @@ fn dir_bytes(dir: &Path) -> u64 {
 
 #[test]
 fn cache_budgets_hold_under_a_sustained_sweep() {
+    use rvp_core::{by_name, Input, SharedSource};
     use rvp_serve::{start, ServeConfig};
 
-    // Each sweep uses a distinct measurement budget, so each records a
-    // distinct (growing) trace file — real accumulation for the trace
-    // store's byte budget to push back on. (Scaling the workload would
-    // instead *replace* one same-named trace sweep after sweep.)
+    // Each sweep uses a distinct measurement budget, so each captures a
+    // distinct (growing) in-memory ref trace — real accumulation for
+    // the trace budget to push back on. A detailed sweep writes no
+    // trace bytes to disk; the budget bounds the captured copies.
     const BUDGETS: [u64; 4] = [20_000, 28_000, 36_000, 44_000];
 
     // Phase 1 — probe: unbudgeted in-process server, four sweeps to
-    // learn real entry/trace sizes.
+    // learn real entry sizes.
     let probe_dir = TempDir::new("budget-probe");
     let cfg = ServeConfig::new("127.0.0.1:0", probe_dir.path().to_str().expect("utf8 dir"));
     let handle = start(cfg).expect("start probe server");
@@ -356,27 +340,26 @@ fn cache_budgets_hold_under_a_sustained_sweep() {
         let r = request(addr, "POST", "/sweep", Some(&body));
         assert_eq!(r.status, 200, "{:?}", String::from_utf8_lossy(&r.body));
     };
-    let mut trace_sizes = Vec::new();
-    let mut before = 0;
     for insts in BUDGETS {
         sweep(addr, insts);
-        let after = governed_trace_bytes(probe_dir.path());
-        trace_sizes.push(after - before);
-        before = after;
     }
-    assert!(trace_sizes.iter().all(|&s| s > 0), "each sweep added a trace: {trace_sizes:?}");
     let cache_total = dir_bytes(&probe_dir.path().join("cache"));
     let entry_bytes = cache_total / 4;
     assert!(entry_bytes > 0, "probe produced cache entries");
     handle.drain();
+    // The sweeps' ref traces, sized as the budget accounts them.
+    let li = by_name("li").expect("li").program(Input::Ref);
+    let trace_sizes: Vec<u64> = BUDGETS
+        .iter()
+        .map(|&insts| SharedSource::capture(&li, insts).expect("capture").approx_bytes())
+        .collect();
 
     // Phase 2 — enforce: budgets sized to hold ~2 entries / the two
     // largest traces, so a four-sweep sustained load must evict.
     let dir = TempDir::new("budget-enforce");
     let mut cfg = ServeConfig::new("127.0.0.1:0", dir.path().to_str().expect("utf8 dir"));
     cfg.cache_budget_bytes = entry_bytes * 5 / 2;
-    let trace_budget = trace_sizes[3] + trace_sizes[2] + trace_sizes[2] / 2;
-    cfg.trace_budget_bytes = trace_budget;
+    cfg.trace_budget_bytes = trace_sizes[3] + trace_sizes[2] + trace_sizes[2] / 2;
     let handle = start(cfg).expect("start budgeted server");
     let addr = handle.local_addr();
     for insts in BUDGETS {
@@ -385,27 +368,24 @@ fn cache_budgets_hold_under_a_sustained_sweep() {
             dir_bytes(&dir.path().join("cache")) <= entry_bytes * 5 / 2,
             "result cache over budget after measure_insts {insts}"
         );
-        assert!(
-            governed_trace_bytes(dir.path()) <= trace_budget,
-            "trace store over budget after measure_insts {insts}"
-        );
     }
 
     // Both evictors ran and are observable: the serve counter in the
-    // JSON metrics, the trace counters in the Prometheus exposition.
+    // JSON metrics, the shared-trace counter in the Prometheus
+    // exposition.
     let metrics = request(addr, "GET", "/metrics", None).json().expect("metrics json");
     assert!(metrics.get("cache_evictions").and_then(Json::as_u64).unwrap_or(0) >= 1);
     let prom = request(addr, "GET", "/metrics?format=prom", None);
     let prom = String::from_utf8(prom.body).expect("prom utf8");
     let evicted = prom
         .lines()
-        .find_map(|l| l.strip_prefix("rvp_trace_evicted_total "))
+        .find_map(|l| l.strip_prefix("rvp_shared_trace_evicted_total "))
         .and_then(|v| v.trim().parse::<u64>().ok())
         .unwrap_or(0);
-    assert!(evicted >= 1, "trace store evicted under budget pressure:\n{prom}");
+    assert!(evicted >= 1, "shared traces evicted under budget pressure:\n{prom}");
     assert!(
-        prom.lines().any(|l| l.starts_with("rvp_shared_trace_evicted_total ")),
-        "shared trace cache evictions are exported:\n{prom}"
+        prom.lines().any(|l| l.starts_with("rvp_trace_evicted_total ")),
+        "trace store evictions are exported:\n{prom}"
     );
     assert!(prom.contains("rvp_serve_cache_evictions_total"), "{prom}");
     handle.drain();

@@ -2,10 +2,11 @@
 //!
 //! Every experiment in this reproduction consumes the same
 //! committed-instruction stream — the sequence of [`rvp_emu::Committed`]
-//! records the functional emulator produces. Re-deriving that stream
-//! through the emulator for every profile collection is the dominant
-//! fixed cost of the figure grid, so this crate captures it once to a
-//! compact on-disk format and replays it at memory speed.
+//! records the functional emulator produces. This crate captures that
+//! stream to a compact on-disk format and replays it. Experiments read
+//! the stream from the emulator, which is faster than decoding it back;
+//! the format keeps the record codec honest (round trips, corruption
+//! detection) and lets a tool store a stream and read it elsewhere.
 //!
 //! The format (see `DESIGN.md` for the byte-level layout):
 //!
@@ -21,10 +22,9 @@
 //!   bytes.
 //!
 //! [`TraceWriter`] streams records to disk; [`TraceReader`] is an
-//! allocation-free iterator over them; [`TraceStore`] is a cache
-//! directory of traces with graceful fallback — any mismatch or
-//! corruption is an automatic re-capture, never an error surfaced to an
-//! experiment.
+//! allocation-free iterator over them; [`TraceStore`] is a directory of
+//! traces keyed by their metadata, which rejects a stale or foreign
+//! file at open, and of persisted sampling plans.
 //!
 //! The crate also owns the workspace's durable-store layer, the lowest
 //! crate every persisting layer depends on: [`write_atomic`], the
@@ -68,6 +68,6 @@ mod writer;
 pub use durable::{evict_lru, write_atomic, BudgetDir, DISK_FULL_SITE};
 pub use format::{program_hash, TraceError, TraceInput, TraceMeta, FORMAT_VERSION, FRAME_RECORDS};
 pub use reader::TraceReader;
-pub use store::{StoreCounters, StoreReader, TraceStore, QUARANTINE_KEEP, QUARANTINE_SUBDIR};
+pub use store::{StoreCounters, StoreReader, TraceStore};
 pub use varint::{fnv1a, Fnv1a};
 pub use writer::{capture, TraceWriter};

@@ -4,10 +4,9 @@
 //! `TraceWriter`/`TraceReader` over an in-memory cursor; the capture
 //! tests run the real emulator. The corruption tests damage files on
 //! disk — truncation, payload bit-flips, version skew, interrupted
-//! captures, program-hash skew — and assert both the precise
-//! `TraceError` and that `TraceStore::read_or_capture` silently
-//! re-captures instead of surfacing the damage, whether the damage is
-//! found at open or mid-read.
+//! captures, program-hash skew — and assert the precise `TraceError`,
+//! that `TraceStore::open` rejects a damaged or foreign file, and that a
+//! fresh capture replaces it.
 
 use std::io::Cursor;
 use std::path::{Path, PathBuf};
@@ -17,7 +16,7 @@ use rvp_emu::{Committed, Emulator, STACK_TOP};
 use rvp_isa::analysis::abi;
 use rvp_isa::{Program, ProgramBuilder, Reg, NUM_REGS};
 use rvp_trace::{
-    capture, StoreReader, TraceError, TraceInput, TraceMeta, TraceReader, TraceStore, TraceWriter,
+    capture, TraceError, TraceInput, TraceMeta, TraceReader, TraceStore, TraceWriter,
     FORMAT_VERSION, FRAME_RECORDS,
 };
 
@@ -87,9 +86,9 @@ fn replayed_stream(reader: impl Iterator<Item = Result<Committed, TraceError>>) 
     reader.map(|r| r.expect("decode")).collect()
 }
 
-/// A [`TraceStore::read_or_capture`] reader that decodes every record.
-fn read_all(reader: StoreReader) -> Result<Vec<Committed>, TraceError> {
-    reader.collect()
+/// Every record of the stored trace for `meta`, which must open.
+fn read_stored(store: &TraceStore, meta: &TraceMeta) -> Vec<Committed> {
+    replayed_stream(store.open(meta).expect("the stored trace opens"))
 }
 
 #[test]
@@ -291,16 +290,9 @@ fn store_falls_back_on_version_skew() {
     std::fs::write(&path, &bytes).expect("write skewed");
     assert!(matches!(store.open(&meta), Err(TraceError::Version { .. })));
 
-    // The graceful-fallback path re-captures and serves a valid trace.
-    let stream = store.read_or_capture(&program, &meta, read_all).expect("fallback");
-    assert_eq!(stream, emulated_stream(&program, 1 << 20));
-    assert_eq!(store.counters().fallbacks(), 1);
-    assert_eq!(store.counters().captures(), 1);
-
-    // And the replacement is a plain hit next time.
-    store.read_or_capture(&program, &meta, read_all).expect("hit");
-    assert_eq!(store.counters().hits(), 1);
-    assert_eq!(store.counters().fallbacks(), 1);
+    // A caller falls back by capturing afresh, which replaces the file.
+    store.capture(&program, &meta).expect("re-capture");
+    assert_eq!(read_stored(&store, &meta), emulated_stream(&program, 1 << 20));
 }
 
 #[test]
@@ -316,9 +308,9 @@ fn store_falls_back_on_header_truncation() {
     std::fs::write(&path, &bytes[..10]).expect("truncate into header");
     assert!(matches!(store.open(&meta), Err(TraceError::HeaderCorrupt)));
 
-    let count = store.read_or_capture(&program, &meta, |r| Ok(r.record_count())).expect("fallback");
+    store.capture(&program, &meta).expect("re-capture");
+    let count = store.open(&meta).expect("the replacement opens").record_count();
     assert_eq!(count, emulated_stream(&program, 1 << 20).len() as u64);
-    assert_eq!(store.counters().fallbacks(), 1);
 }
 
 #[test]
@@ -333,16 +325,13 @@ fn store_falls_back_on_program_hash_skew() {
 
     // Same (workload, input, budget) key. File names carry the program
     // hash, so force the collision a foreign file would cause (a cache
-    // copied in by hand): the stored program hash must still force a
-    // re-capture.
+    // copied in by hand): the stored program hash must still reject it.
     let meta = meta_for(&new_program, budget);
     std::fs::rename(store.path_for(&old_meta), store.path_for(&meta)).expect("collide");
     assert!(matches!(store.open(&meta), Err(TraceError::MetaMismatch { field: "program_hash" })));
-    let hash = store.read_or_capture(&new_program, &meta, |r| Ok(r.meta().program_hash));
-    assert_eq!(hash.expect("fallback"), meta.program_hash);
-    let stream = store.read_or_capture(&new_program, &meta, read_all).expect("hit");
-    assert_eq!(stream, emulated_stream(&new_program, budget));
-    assert_eq!(store.counters().fallbacks(), 1);
+    store.capture(&new_program, &meta).expect("re-capture");
+    assert_eq!(store.open(&meta).expect("the replacement opens").meta(), &meta);
+    assert_eq!(read_stored(&store, &meta), emulated_stream(&new_program, budget));
 }
 
 /// Chaos tests reconfigure the process-global failpoint schedule, so
@@ -385,83 +374,6 @@ fn interrupted_store_write_leaves_no_partial_file() {
 }
 
 #[test]
-fn corrupt_cached_trace_is_quarantined() {
-    let _guard = chaos_guard();
-    let dir = TempDir::new("quarantine");
-    let store = TraceStore::new(dir.path()).expect("store");
-    let program = looping_program(50);
-    let meta = meta_for(&program, 1 << 20);
-    store.capture(&program, &meta).expect("capture");
-
-    // Truncate into the header: the next open rejects the file, moves
-    // it into the quarantine directory and re-captures.
-    let path = store.path_for(&meta);
-    let bytes = std::fs::read(&path).expect("read");
-    std::fs::write(&path, &bytes[..10]).expect("truncate into header");
-
-    let stream = store.read_or_capture(&program, &meta, read_all).expect("fallback");
-    assert_eq!(stream, emulated_stream(&program, 1 << 20));
-    assert_eq!(store.counters().quarantined(), 1);
-    assert_eq!(store.counters().fallbacks(), 1);
-
-    let qdir = dir.path().join(rvp_trace::QUARANTINE_SUBDIR);
-    let quarantined = std::fs::read_dir(&qdir).expect("quarantine dir exists").count();
-    assert_eq!(quarantined, 1, "the corrupt bytes are preserved for inspection");
-    // The rejected bytes can never be re-read from the cache path: the
-    // recapture replaced the file wholesale.
-    let fresh = std::fs::read(&path).expect("recaptured file");
-    assert!(fresh.len() > 10);
-}
-
-#[test]
-fn trace_failing_mid_read_is_quarantined_and_read_once_more() {
-    let dir = TempDir::new("mid-read");
-    let store = TraceStore::new(dir.path()).expect("store");
-    let program = looping_program(300);
-    let meta = meta_for(&program, 1 << 20);
-    store.capture(&program, &meta).expect("capture");
-
-    // Cut the file mid-frame: it still opens, and fails while decoding.
-    let path = store.path_for(&meta);
-    let bytes = std::fs::read(&path).expect("read");
-    std::fs::write(&path, &bytes[..bytes.len() * 2 / 3]).expect("truncate mid-stream");
-    store.open(&meta).expect("the damage is past the header");
-
-    let stream = store.read_or_capture(&program, &meta, read_all).expect("fallback");
-    assert_eq!(stream, emulated_stream(&program, 1 << 20));
-    let c = store.counters();
-    assert_eq!((c.hits(), c.captures(), c.fallbacks(), c.quarantined()), (0, 1, 1, 1));
-    assert_eq!(std::fs::read(&path).expect("recaptured"), bytes);
-
-    // A reader that fails on the fresh capture too gets its error back
-    // after exactly one more read; the caller decides what comes next.
-    let mut reads = 0;
-    let failed = store.read_or_capture(&program, &meta, |_| -> Result<(), TraceError> {
-        reads += 1;
-        Err(TraceError::Unfinished)
-    });
-    assert!(matches!(failed, Err(TraceError::Unfinished)), "got {failed:?}");
-    assert_eq!(reads, 2);
-    assert_eq!(store.counters().quarantined(), 2);
-
-    // A fault that is not in the bytes quarantines a healthy trace on
-    // every read; the directory keeps only the newest few of them.
-    let runs = rvp_trace::QUARANTINE_KEEP + 3;
-    for _ in 0..runs {
-        let failed = store.read_or_capture(&program, &meta, |_| -> Result<(), TraceError> {
-            Err(TraceError::Unfinished)
-        });
-        assert!(failed.is_err());
-    }
-    assert_eq!(store.counters().quarantined(), 2 + runs as u64, "every rejection is counted");
-    let kept = std::fs::read_dir(store.quarantine_dir()).expect("quarantine dir").count();
-    assert_eq!(kept, rvp_trace::QUARANTINE_KEEP, "the quarantine is capped");
-    // The store still serves the trace once reads succeed again.
-    let stream = store.read_or_capture(&program, &meta, read_all).expect("clean read");
-    assert_eq!(stream, emulated_stream(&program, 1 << 20));
-}
-
-#[test]
 fn concurrent_store_startups_tolerate_each_others_sweep() {
     // The serve daemon opens the store while grid runs may be starting
     // on the same directory: every startup sweeps stale temp files, so
@@ -495,9 +407,8 @@ fn concurrent_store_startups_tolerate_each_others_sweep() {
 
 #[test]
 fn programs_of_one_workload_at_two_scales_keep_separate_traces() {
-    // A scaled and an unscaled sweep of one workload and budget used to
-    // share one file name: each rejected, quarantined and re-captured
-    // the other's trace on every alternation.
+    // The programs of one workload and budget at two scales used to
+    // share one file name, so each capture replaced the other's trace.
     let dir = TempDir::new("two-scales");
     let store = TraceStore::new(dir.path()).expect("store");
     let budget = 1 << 20;
@@ -506,12 +417,11 @@ fn programs_of_one_workload_at_two_scales_keep_separate_traces() {
         store.capture(program, &meta_for(program, budget)).expect("capture");
     }
     for program in &programs {
-        let stream = store.read_or_capture(program, &meta_for(program, budget), read_all);
-        assert_eq!(stream.expect("hit"), emulated_stream(program, budget));
+        assert_eq!(
+            read_stored(&store, &meta_for(program, budget)),
+            emulated_stream(program, budget)
+        );
     }
-    let counters = store.counters();
-    assert_eq!((counters.hits(), counters.fallbacks(), counters.quarantined()), (2, 0, 0));
-    assert!(!store.quarantine_dir().exists());
 }
 
 #[test]
