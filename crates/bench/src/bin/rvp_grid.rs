@@ -27,9 +27,8 @@
 //! scheme cell) or `live` (re-emulate inside every cell, the
 //! pre-refactor behaviour). `--metrics-out` enables the optional
 //! instrumentation (time series + per-PC telemetry) on every cell — the
-//! artifacts land inside the cell JSONs — and writes a grid-level
-//! summary (throughput, per-workload source counters, failures) to
-//! FILE.
+//! artifacts land inside the cell JSONs — and writes a copy of the
+//! grid summary to FILE.
 //! `--sample SPEC` measures every cell by SimPoint-style sampled
 //! simulation (`auto`, or `interval=N,warmup=N,dims=N,max_k=N,seed=N`)
 //! and `--scale N` multiplies every workload's outer pass counts —
@@ -60,11 +59,18 @@
 //! Without `--resume` the store is written, never read. A cell that
 //! fails is contained, not fatal: panics are caught, a `--cell-timeout`
 //! watchdog bounds hangs, transient I/O faults are retried (up to
-//! `--retries` extra attempts with backoff), and a still-failing cell
-//! walks the source degradation ladder (shared → live) before
-//! being recorded as *poisoned* in the summary's `failures` section.
+//! `--retries` extra attempts with backoff), and a cell that still
+//! fails is recorded as *poisoned* in the summary's `failures` section.
 //! The sweep always finishes; a poisoned cell turns the exit code into
 //! 20 and emits a one-line JSON diagnostic on stderr.
+//!
+//! ## The summary
+//!
+//! `OUT_DIR/grid_summary.json` holds the cell, failure, resume and
+//! throughput counts, the per-cell wall times below, and under
+//! `"metrics"` the runner's registry samples (per-workload source
+//! tallies and evictions) in the `name{labels}`-keyed shape of the
+//! daemon's `/metrics`; `rvp-report` renders both with one renderer.
 //!
 //! ## Cost-model scheduling
 //!
@@ -100,9 +106,9 @@ use rvp_bench::grid::{
 };
 use rvp_bench::runner_from_env;
 use rvp_core::{
-    all_workloads, by_name_or_err, fatal, log, paper_schemes, CancelToken, Json, ObsConfig, Runner,
-    SampleSpec, SchemeSpec, SourceMode, ToJson, Workload, EXIT_CONFIG, EXIT_IO, EXIT_POISONED,
-    EXIT_USAGE,
+    all_workloads, by_name_or_err, fatal, log, paper_schemes, CancelToken, Json, MetricsRegistry,
+    ObsConfig, Runner, SampleSpec, SchemeSpec, SourceMode, Workload, EXIT_CONFIG, EXIT_IO,
+    EXIT_POISONED, EXIT_USAGE,
 };
 
 fn worker_count(cells: usize) -> usize {
@@ -498,8 +504,7 @@ fn main() -> ExitCode {
     );
     println!("profiles collected: {}", runner.profiles.len());
     println!("simulations: {} for {} cells", runner.runs.len(), successes.len());
-    let sources = runner.source_counters.snapshot();
-    if !sources.is_empty() {
+    if !runner.source_counters.snapshot().is_empty() {
         let t = runner.source_counters.total();
         println!(
             "committed-stream sources ({}): {} captures, {} shared hits, {} live fallbacks",
@@ -509,6 +514,8 @@ fn main() -> ExitCode {
             t.live_fallbacks
         );
     }
+    let metrics = MetricsRegistry::new();
+    runner.register_metrics(&metrics);
     let injected = rvp_fail::snapshot();
     let failures = Json::obj([
         ("count", (poisoned.len() as u64).into()),
@@ -537,12 +544,7 @@ fn main() -> ExitCode {
             "cell_seconds",
             Json::Obj(cell_seconds.into_iter().map(|(label, secs)| (label, secs.into())).collect()),
         ),
-        (
-            "trace_sources",
-            Json::Obj(
-                sources.iter().map(|(wl, tally)| ((*wl).to_owned(), tally.to_json())).collect(),
-            ),
-        ),
+        ("metrics", metrics.to_json()),
     ]);
     log::info(
         "rvp-grid",

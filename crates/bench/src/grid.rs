@@ -12,12 +12,11 @@
 //!   up in the store, exports the verified hits and re-runs the rest;
 //! * **per-cell failure containment** — each cell attempt runs inline
 //!   under `catch_unwind` (optionally with a deadline-armed child of the
-//!   caller's cancel token),
-//!   transient I/O faults are retried with bounded backoff, and a
-//!   failing cell walks the degradation ladder (shared → live
-//!   committed-stream source) before it is recorded as *poisoned*. A
-//!   poisoned cell is reported in the grid summary; it never aborts the
-//!   sweep.
+//!   caller's cancel token) and transient I/O faults are retried with
+//!   bounded backoff. Any other failure — a simulation error, a panic, a
+//!   timeout — would come back on a rerun of the same deterministic
+//!   cell, so it records the cell as *poisoned* at once. A poisoned
+//!   cell is reported in the grid summary; it never aborts the sweep.
 //!
 //! Chaos sites: `grid.cell.run` fires inside the contained attempt
 //! (panics, delays and injected-transient I/O land exactly where a real
@@ -29,9 +28,7 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use rvp_core::span::SpanGuard;
-use rvp_core::{
-    log, CancelToken, Json, RunResult, Runner, SchemeSpec, SimError, SourceMode, ToJson, Workload,
-};
+use rvp_core::{log, CancelToken, Json, RunResult, Runner, SchemeSpec, SimError, ToJson, Workload};
 
 use crate::cache::ResultCache;
 
@@ -55,8 +52,8 @@ impl GridCell {
 /// Containment knobs for one cell attempt.
 #[derive(Debug, Clone, Copy)]
 pub struct CellOptions {
-    /// Extra attempts per ladder stage for *transient* failures
-    /// (injected or real I/O trouble), with exponential backoff.
+    /// Extra attempts for *transient* failures (injected or real I/O
+    /// trouble), with exponential backoff.
     pub retries: u32,
     /// Wall-clock deadline per attempt, enforced through a child cancel
     /// token; `0` means none.
@@ -84,15 +81,13 @@ pub struct CellSuccess {
     pub retries: u64,
 }
 
-/// A cell that failed every rung of the degradation ladder — or was
-/// cancelled cooperatively before it could finish.
+/// A cell that failed past its transient retries — or was cancelled
+/// cooperatively before it could finish.
 pub struct PoisonedCell {
     /// Cell identity (`workload/scheme`).
     pub label: String,
     /// The last error observed.
     pub error: String,
-    /// The ladder stage that failed last.
-    pub stage: &'static str,
     /// Total attempts spent before giving up.
     pub attempts: u64,
     /// The cell was squashed by a fired [`CancelToken`] (job abort,
@@ -106,7 +101,6 @@ impl PoisonedCell {
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("cell", self.label.as_str().into()),
-            ("stage", self.stage.into()),
             ("attempts", self.attempts.into()),
             ("error", self.error.as_str().into()),
             ("cancelled", self.cancelled.into()),
@@ -114,30 +108,14 @@ impl PoisonedCell {
     }
 }
 
-/// The committed-stream sources a cell walks, in order, before it is
-/// declared poisoned. The ladder only descends: each rung re-derives
-/// the identical committed stream with less shared machinery, so a
-/// cell that succeeds on a lower rung is bit-identical to one that
-/// succeeded on the first.
-pub fn ladder(mode: SourceMode) -> Vec<SourceMode> {
-    match mode {
-        SourceMode::Live => vec![SourceMode::Live],
-        SourceMode::Shared => vec![SourceMode::Shared, SourceMode::Live],
-    }
-}
-
 /// How one attempt of one cell ended.
 enum AttemptError {
-    /// Worth retrying on the same ladder rung (bounded, with backoff).
+    /// Worth retrying (bounded, with backoff).
     Transient(String),
-    /// The simulation itself failed; move down the ladder.
-    Sim(String),
-    /// The attempt panicked; move down the ladder.
-    Panic(String),
-    /// The watchdog deadline passed; move down the ladder.
-    Timeout,
-    /// The cell's own [`CancelToken`] fired; abandon the whole cell
-    /// (no retries, no ladder descent — the caller wants it gone).
+    /// The simulation failed, panicked or passed its watchdog deadline;
+    /// a rerun of the deterministic cell would fail the same way.
+    Failed(String),
+    /// The cell's own [`CancelToken`] fired; the caller wants it gone.
     Cancelled(String),
 }
 
@@ -148,9 +126,7 @@ impl AttemptError {
 
     fn describe(&self) -> String {
         match self {
-            AttemptError::Transient(e) | AttemptError::Sim(e) => e.clone(),
-            AttemptError::Panic(e) => format!("panic: {e}"),
-            AttemptError::Timeout => "cell watchdog timeout".to_owned(),
+            AttemptError::Transient(e) | AttemptError::Failed(e) => e.clone(),
             AttemptError::Cancelled(e) => format!("cancelled: {e}"),
         }
     }
@@ -192,13 +168,15 @@ fn attempt(runner: &Runner, cell: &GridCell, timeout_secs: u64) -> Result<RunRes
             }
         }
         r.run(&cell.workload, &cell.scheme).map_err(|e: SimError| match e {
-            SimError::Cancelled { .. } if !parent.is_cancelled() => AttemptError::Timeout,
+            SimError::Cancelled { .. } if !parent.is_cancelled() => {
+                AttemptError::Failed("cell watchdog timeout".to_owned())
+            }
             SimError::Cancelled { .. } => AttemptError::Cancelled(e.to_string()),
-            other => AttemptError::Sim(other.to_string()),
+            other => AttemptError::Failed(other.to_string()),
         })
     };
     catch_unwind(AssertUnwindSafe(run))
-        .unwrap_or_else(|p| Err(AttemptError::Panic(panic_message(p))))
+        .unwrap_or_else(|p| Err(AttemptError::Failed(format!("panic: {}", panic_message(p)))))
 }
 
 fn backoff(attempt_idx: u32) {
@@ -214,8 +192,6 @@ pub struct CellRun {
     pub result: RunResult,
     /// Attempts spent so far, the first included.
     pub attempts: u64,
-    /// The committed-stream source that finally served the cell.
-    pub source: &'static str,
     /// When the cell's first attempt started.
     pub started: Instant,
     /// The cell's `grid.cell.run` span, still open so that work done
@@ -225,81 +201,48 @@ pub struct CellRun {
 }
 
 /// Runs one cell's simulation under the full containment stack:
-/// degradation ladder across committed-stream sources, bounded
-/// retry-with-backoff for transient faults, containment of panics and
-/// hangs. Returns the poisoned record (never panics, never aborts the
-/// sweep) if every rung fails. Persisting the result is the caller's
-/// business: `rvp-grid` publishes and exports it with [`write_cell`],
-/// the daemon puts it in its result cache.
+/// bounded retry-with-backoff for transient faults, containment of
+/// panics and hangs. Returns the poisoned record (never panics, never
+/// aborts the sweep) once a failure is not transient or the retries run
+/// out. Persisting the result is the caller's business: `rvp-grid`
+/// publishes and exports it with [`write_cell`], the daemon puts it in
+/// its result cache.
 pub fn run_one_cell(
     runner: &Runner,
     cell: &GridCell,
     opts: CellOptions,
 ) -> Result<CellRun, PoisonedCell> {
     let label = cell.label();
-    let mut span = rvp_core::span!("grid.cell.run", { cell: label.as_str() });
+    let span = rvp_core::span!("grid.cell.run", { cell: label.as_str() });
     let started = Instant::now();
     let mut attempts = 0u64;
-    let mut last: Option<AttemptError> = None;
-    let mut last_stage = runner.source_mode.name();
-
-    for mode in ladder(runner.source_mode) {
-        let mut r = runner.clone();
-        r.source_mode = mode;
-        last_stage = mode.name();
-        let mut attempt_idx = 0u32;
-        loop {
-            attempts += 1;
-            let outcome = {
-                let _span = rvp_core::span!("grid.cell.attempt", {
-                    cell: label.as_str(),
-                    stage: mode.name(),
-                    attempt: attempts,
-                });
-                attempt(&r, cell, opts.timeout_secs)
-            };
-            match outcome {
-                Ok(result) => {
-                    span.add_field("source", mode.name());
-                    return Ok(CellRun {
-                        label,
-                        result,
-                        attempts,
-                        source: mode.name(),
-                        started,
-                        span,
-                    });
-                }
-                Err(e) => {
-                    log::warn(
-                        "rvp-grid",
-                        "cell attempt failed",
-                        &[
-                            ("cell", label.as_str().into()),
-                            ("stage", mode.name().into()),
-                            ("attempt", attempts.into()),
-                            ("error", e.describe().into()),
-                        ],
-                    );
-                    // A fired cancel token abandons the cell outright:
-                    // no retry and no ladder descent — re-running the
-                    // work the caller just squashed wastes the squash.
-                    if matches!(e, AttemptError::Cancelled(_)) {
-                        return Err(poisoned(&label, &e, mode.name(), attempts));
-                    }
-                    let retry = e.transient() && attempt_idx < opts.retries;
-                    last = Some(e);
-                    if !retry {
-                        break; // next ladder rung
-                    }
-                    backoff(attempt_idx);
-                    attempt_idx += 1;
-                }
-            }
+    loop {
+        attempts += 1;
+        let outcome = {
+            let _span = rvp_core::span!("grid.cell.attempt", {
+                cell: label.as_str(),
+                attempt: attempts,
+            });
+            attempt(runner, cell, opts.timeout_secs)
+        };
+        let e = match outcome {
+            Ok(result) => return Ok(CellRun { label, result, attempts, started, span }),
+            Err(e) => e,
+        };
+        log::warn(
+            "rvp-grid",
+            "cell attempt failed",
+            &[
+                ("cell", label.as_str().into()),
+                ("attempt", attempts.into()),
+                ("error", e.describe().into()),
+            ],
+        );
+        if !e.transient() || attempts > u64::from(opts.retries) {
+            return Err(poisoned(&label, &e, attempts));
         }
+        backoff(attempts as u32 - 1);
     }
-    let error = last.map_or_else(|| "unknown failure".to_owned(), |e| e.describe());
-    Err(poisoned(&label, &AttemptError::Sim(error), last_stage, attempts))
 }
 
 /// Makes a simulated cell durable — published to `store` under `key`
@@ -332,15 +275,14 @@ pub fn write_cell(
                 retries: run.attempts - 1,
             })
         }
-        Err(e) => Err(poisoned(&run.label, &e, run.source, run.attempts)),
+        Err(e) => Err(poisoned(&run.label, &e, run.attempts)),
     }
 }
 
-fn poisoned(label: &str, e: &AttemptError, stage: &'static str, attempts: u64) -> PoisonedCell {
+fn poisoned(label: &str, e: &AttemptError, attempts: u64) -> PoisonedCell {
     let cell = PoisonedCell {
         label: label.to_owned(),
         error: e.describe(),
-        stage,
         attempts,
         cancelled: matches!(e, AttemptError::Cancelled(_)),
     };
@@ -349,7 +291,6 @@ fn poisoned(label: &str, e: &AttemptError, stage: &'static str, attempts: u64) -
         "cell poisoned",
         &[
             ("cell", cell.label.as_str().into()),
-            ("stage", stage.into()),
             ("attempts", attempts.into()),
             ("error", cell.error.as_str().into()),
         ],
@@ -418,12 +359,6 @@ fn publish_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ladder_descends_and_respects_store() {
-        assert_eq!(ladder(SourceMode::Live), vec![SourceMode::Live]);
-        assert_eq!(ladder(SourceMode::Shared), vec![SourceMode::Shared, SourceMode::Live]);
-    }
 
     #[test]
     fn write_atomic_cleans_up_temp_on_failure() {

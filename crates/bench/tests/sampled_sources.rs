@@ -39,13 +39,23 @@ fn sampled_sweep_on_the_shared_source_captures_no_trace() {
     assert_eq!(cells.len(), 3, "{:?}", cells.keys());
     assert_eq!(cells, cell_files(live.path()), "sampled cells must not depend on the source");
 
-    let summary = summary(shared.path());
-    let sources = summary.get("trace_sources").and_then(Json::as_obj).expect("trace_sources");
-    let captures: u64 = sources
-        .iter()
-        .map(|(_, tally)| tally.get("captures").and_then(Json::as_u64).expect("captures"))
-        .sum();
-    assert_eq!(captures, 0, "a sampled sweep must not capture full traces");
+    let sampled = summary(shared.path());
+    let metrics = sampled.get("metrics").expect("summary metrics");
+    assert!(metrics.get("rvp_shared_trace_evicted_total").is_some(), "{metrics}");
+    assert_eq!(li_captures(metrics), 0, "a sampled sweep must not capture full traces");
+
+    // The same sweep detailed captures li's trace once, for all cells.
+    let detailed = common::TempDir::new("sampled-detailed");
+    let out = run_grid(detailed.path(), &ARGS[..4], &envs);
+    assert!(out.status.success(), "detailed: {}", String::from_utf8_lossy(&out.stderr));
+    let detailed = summary(detailed.path());
+    assert_eq!(li_captures(detailed.get("metrics").expect("summary metrics")), 1, "{detailed}");
+}
+
+/// li's `rvp_source_captures_total` sample in a summary's `metrics`
+/// (0 when the sweep recorded no source tally for li).
+fn li_captures(metrics: &Json) -> u64 {
+    metrics.get("rvp_source_captures_total{workload=\"li\"}").and_then(Json::as_u64).unwrap_or(0)
 }
 
 #[test]

@@ -18,18 +18,18 @@
 //!    per-cluster representative weights, and — when the directory
 //!    also holds the matching detailed cell — the sampled-vs-full
 //!    IPC error,
-//! 5. committed-stream source counters (captures / shared hits / live
-//!    fallbacks per workload) when the directory holds a grid summary
-//!    written with `rvp-grid --metrics-out`,
-//! 6. a resilience section from the same summary: poisoned cells (with
-//!    the ladder stage and error that killed them), total retries,
-//!    resumed cells and any injected failpoint hits from a chaos run,
-//! 7. a serving section for any `rvp-serve` metrics snapshot in the
-//!    directory (a `/metrics` download): request/error/job counters,
-//!    cache hit rate, queue high-water mark and the latency histogram
-//!    quantiles. A directory holding only serve metrics (the CI
-//!    artifact case) renders without any cell files,
-//! 8. a spans section for any Chrome trace-event JSON in the directory
+//! 5. a resilience section from a grid summary in the directory:
+//!    poisoned cells (with the attempts and error that killed them),
+//!    total retries, resumed cells and any injected failpoint hits from
+//!    a chaos run,
+//! 6. a metrics section for every set of registry samples in the
+//!    directory — a grid summary's `metrics` (per-workload source
+//!    tallies, evictions) or an `rvp-serve` `/metrics` download (request,
+//!    job, cache, governance and failpoint counters, latency
+//!    quantiles) — one `name{labels} value` line per sample. A
+//!    directory holding only serve metrics (the CI artifact case)
+//!    renders without any cell files,
+//! 7. a spans section for any Chrome trace-event JSON in the directory
 //!    (written by `--trace-out` or downloaded from `GET /trace`):
 //!    top spans by self time, the critical path under the longest
 //!    root, and the per-job queue-wait vs exec-time breakdown.
@@ -76,7 +76,7 @@ fn main() -> ExitCode {
     if cells.is_empty() {
         // A serve-metrics or trace artifact directory has no cells;
         // render those sections alone rather than refusing.
-        if print_serve_metrics(Path::new(dir)) + print_spans(Path::new(dir)) > 0 {
+        if print_metrics(Path::new(dir)) + print_spans(Path::new(dir)) > 0 {
             return ExitCode::SUCCESS;
         }
         return fatal(
@@ -102,9 +102,8 @@ fn main() -> ExitCode {
     print_cpi_stacks(&cells, &workloads, &schemes);
     print_obs_highlights(&cells);
     print_sampling(&cells);
-    print_trace_sources(Path::new(dir));
     print_resilience(Path::new(dir));
-    print_serve_metrics(Path::new(dir));
+    print_metrics(Path::new(dir));
     print_spans(Path::new(dir));
     ExitCode::SUCCESS
 }
@@ -115,20 +114,9 @@ fn main() -> ExitCode {
 /// serve-side spans — the per-job queue-wait vs exec-time breakdown.
 /// Returns how many traces were rendered.
 fn print_spans(dir: &Path) -> usize {
-    let Ok(entries) = std::fs::read_dir(dir) else { return 0 };
-    let mut paths: Vec<std::path::PathBuf> = entries
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
-        .collect();
-    paths.sort();
     let mut rendered = 0;
-    for path in paths {
-        let Some(data) = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| Json::parse(&text).ok())
-            .filter(|j| j.get("traceEvents").is_some())
-            .and_then(|j| span::from_chrome_trace(&j))
+    for (path, json) in json_files(dir) {
+        let Some(data) = json.get("traceEvents").and_then(|_| span::from_chrome_trace(&json))
         else {
             continue;
         };
@@ -178,80 +166,42 @@ fn print_spans(dir: &Path) -> usize {
     rendered
 }
 
-/// Renders the daemon-side counters from any `rvp-serve` metrics
-/// snapshot (a raw `/metrics` download) in `dir`. Returns how many
-/// snapshots were rendered.
-fn print_serve_metrics(dir: &Path) -> usize {
-    let Ok(entries) = std::fs::read_dir(dir) else { return 0 };
+/// Every `*.json` file in `dir` that parses, sorted by path.
+fn json_files(dir: &Path) -> Vec<(std::path::PathBuf, Json)> {
+    let Ok(entries) = std::fs::read_dir(dir) else { return Vec::new() };
     let mut paths: Vec<std::path::PathBuf> = entries
         .filter_map(Result::ok)
         .map(|e| e.path())
         .filter(|p| p.extension().is_some_and(|x| x == "json"))
         .collect();
     paths.sort();
+    paths
+        .into_iter()
+        .filter_map(|path| {
+            let json = Json::parse(&std::fs::read_to_string(&path).ok()?).ok()?;
+            Some((path, json))
+        })
+        .collect()
+}
+
+/// Renders every set of registry samples in `dir` — a grid summary's
+/// `metrics` object or an `rvp-serve` `/metrics` download, both keyed
+/// `name{labels}` with numeric values — one line per sample. Returns
+/// how many sets were rendered.
+fn print_metrics(dir: &Path) -> usize {
     let mut rendered = 0;
-    for path in paths {
-        let Some(metrics) = std::fs::read_to_string(&path).ok().and_then(|t| Json::parse(&t).ok())
-        else {
-            continue;
-        };
-        if metrics.get("request_latency").is_none() {
+    for (path, json) in json_files(dir) {
+        let Some(samples) = json.get("metrics").unwrap_or(&json).as_obj() else { continue };
+        let registry =
+            |(key, value): &(String, Json)| key.starts_with("rvp_") && value.as_f64().is_some();
+        if samples.is_empty() || !samples.iter().all(registry) {
             continue;
         }
         rendered += 1;
-        let count = |key: &str| metrics.get(key).and_then(Json::as_u64).unwrap_or(0);
-        println!("\nserving ({})", path.display());
-        println!(
-            "  requests {}  4xx {}  5xx {}  rejected {}",
-            count("requests"),
-            count("client_errors"),
-            count("server_errors"),
-            count("rejected")
-        );
-        println!(
-            "  jobs: submitted {}  completed {}  resumed {}  queue peak {}",
-            count("jobs_submitted"),
-            count("jobs_completed"),
-            count("jobs_resumed"),
-            count("queue_peak")
-        );
-        let hit_rate = metrics.get("cache_hit_rate").and_then(Json::as_f64).unwrap_or(0.0);
-        println!(
-            "  cells: computed {}  failed {}  cache hits {} ({:.1}% hit rate)",
-            count("cells_computed"),
-            count("cells_failed"),
-            count("cache_hits"),
-            100.0 * hit_rate
-        );
-        if let Some(latency) = metrics.get("request_latency") {
-            let us = |key: &str| latency.get(key).and_then(Json::as_u64).unwrap_or(0);
-            println!(
-                "  latency (us): p50 {}  p90 {}  p99 {}  max {}  ({} samples)",
-                us("p50_us"),
-                us("p90_us"),
-                us("p99_us"),
-                us("max_us"),
-                us("count")
-            );
-        }
-        // Runtime governance: squashes, shedding, drains and eviction.
-        // Older snapshots predate these counters; print only when the
-        // daemon that wrote the snapshot had the governance layer.
-        if metrics.get("jobs_cancelled").is_some() {
-            println!(
-                "  governance: jobs cancelled {}  cells squashed {}  shed {}  drains {}",
-                count("jobs_cancelled"),
-                count("cells_cancelled"),
-                count("shed"),
-                count("drains"),
-            );
-            println!(
-                "  governance: 408s {}  disconnects {}  cache evictions {}  queue-delay ewma {}us",
-                count("request_timeouts"),
-                count("client_disconnects"),
-                count("cache_evictions"),
-                count("queue_delay_ewma_us"),
-            );
+        println!("\nmetrics ({})", path.display());
+        let width = samples.iter().map(|(key, _)| key.len()).max().unwrap_or(0);
+        for (key, value) in samples {
+            println!("  {key:<width$} {value}");
         }
     }
     rendered
@@ -502,70 +452,16 @@ fn print_sampling(cells: &[Cell]) {
     }
 }
 
-/// Renders the per-workload committed-stream source tallies from any
-/// grid summary JSON in `dir` (a file with `source_mode` and
-/// `trace_sources` keys — the shape `rvp-grid --metrics-out` writes).
-fn print_trace_sources(dir: &Path) {
-    let Ok(entries) = std::fs::read_dir(dir) else { return };
-    let mut paths: Vec<std::path::PathBuf> = entries
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
-        .collect();
-    paths.sort();
-    for path in paths {
-        let Some(summary) = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| Json::parse(&text).ok())
-            .filter(|j| j.get("trace_sources").is_some())
-        else {
-            continue;
-        };
-        let mode = summary.get("source_mode").and_then(Json::as_str).unwrap_or("?");
-        let Some(Json::Obj(sources)) = summary.get("trace_sources") else { continue };
-        if sources.is_empty() {
-            continue;
-        }
-        println!("\ncommitted-stream sources ({mode} mode, {})", path.display());
-        println!(
-            "{:>22} {:>10} {:>13} {:>16}",
-            "workload", "captures", "shared_hits", "live_fallbacks"
-        );
-        let mut totals = [0u64; 3];
-        for (wl, tally) in sources {
-            let count = |key: &str| tally.get(key).and_then(Json::as_u64).unwrap_or(0);
-            let row = [count("captures"), count("shared_hits"), count("live_fallbacks")];
-            for (t, v) in totals.iter_mut().zip(row) {
-                *t += v;
-            }
-            println!("{wl:>22} {:>10} {:>13} {:>16}", row[0], row[1], row[2]);
-        }
-        println!("{:>22} {:>10} {:>13} {:>16}", "total", totals[0], totals[1], totals[2]);
-    }
-}
-
 /// Renders the failure-containment section of any grid summary in
 /// `dir` (a file with a structured `failures` object — the shape
-/// `rvp-grid` writes): poisoned cells with the degradation-ladder stage
-/// and error that ended them, retry and resume counters, and
-/// per-site injected-fault counts from a chaos run.
+/// `rvp-grid` writes): poisoned cells with the attempts and error that
+/// ended them, retry and resume counters, and per-site injected-fault
+/// counts from a chaos run.
 fn print_resilience(dir: &Path) {
-    let Ok(entries) = std::fs::read_dir(dir) else { return };
-    let mut paths: Vec<std::path::PathBuf> = entries
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
-        .collect();
-    paths.sort();
-    for path in paths {
-        let Some(summary) = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| Json::parse(&text).ok())
-            .filter(|j| j.get("failures").is_some_and(|f| f.as_obj().is_some()))
-        else {
+    for (path, summary) in json_files(dir) {
+        let Some(failures) = summary.get("failures").filter(|f| f.as_obj().is_some()) else {
             continue;
         };
-        let failures = summary.get("failures").expect("filtered");
         let count = |key: &str| failures.get(key).and_then(Json::as_u64).unwrap_or(0);
         let resumed = summary.get("resumed_cells").and_then(Json::as_u64).unwrap_or(0);
         let cancelled = failures
@@ -587,7 +483,7 @@ fn print_resilience(dir: &Path) {
         );
         if let Some(poisoned) = failures.get("poisoned").and_then(Json::as_arr) {
             if !poisoned.is_empty() {
-                println!("{:>22} {:>8} {:>9}  error", "cell", "stage", "attempts");
+                println!("{:>22} {:>9}  error", "cell", "attempts");
                 for p in poisoned {
                     let text = |key: &str| p.get(key).and_then(Json::as_str).unwrap_or("?");
                     let squashed = if p.get("cancelled").and_then(Json::as_bool) == Some(true) {
@@ -596,9 +492,8 @@ fn print_resilience(dir: &Path) {
                         ""
                     };
                     println!(
-                        "{:>22} {:>8} {:>9}  {}{}",
+                        "{:>22} {:>9}  {}{}",
                         text("cell"),
-                        text("stage"),
                         p.get("attempts").and_then(Json::as_u64).unwrap_or(0),
                         text("error"),
                         squashed

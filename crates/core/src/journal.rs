@@ -1,14 +1,14 @@
 //! Checksummed records: the line form of the fsynced record log behind
-//! the serve daemon's `serve_journal.jsonl`, and of every cell-store
-//! entry (`rvp_bench::cache::ResultCache`).
+//! the serve daemon's `serve_journal.jsonl`, of every cell-store entry
+//! (`rvp_bench::cache::ResultCache`) and of every stored sampling plan.
 //!
 //! A record is `<fnv1a:016x> <text>` ([`checksummed`]); a reader trusts
 //! its text only after the checksum matches ([`verified`]). So a log
 //! tolerates a torn final line from a crash mid-append — the
 //! unverifiable line is detected and dropped rather than trusted — and
-//! a cell entry edited on disk is a miss, never a result. The atomic
-//! publish a log compacts with, [`write_atomic`], lives with the rest
-//! of the durable-store layer in `rvp-trace`.
+//! a cell entry or plan edited on disk is a miss, never a result. The
+//! atomic publish a log compacts with, [`write_atomic`], lives with the
+//! rest of the durable-store layer in `rvp-trace`.
 
 use std::fs::File;
 use std::io::{self, Write};

@@ -75,8 +75,8 @@ pub use rvp_sample::{
     SampleWindow,
 };
 pub use rvp_trace::{
-    capture, fnv1a, program_hash, write_atomic, BudgetDir, StoreCounters, TraceError, TraceInput,
-    TraceMeta, TraceReader, TraceStore, TraceWriter,
+    capture, fnv1a, program_hash, write_atomic, BudgetDir, TraceError, TraceInput, TraceMeta,
+    TraceReader, TraceStore, TraceWriter,
 };
 pub use rvp_uarch::{
     CommittedSource, EmuSource, Latencies, PlanMode, Recovery, Scheme, SharedSource, SimError,

@@ -7,6 +7,7 @@ use std::sync::{Arc, Mutex};
 
 use rvp_isa::Program;
 use rvp_json::{Json, ToJson};
+use rvp_obs::{Metric, MetricsRegistry};
 use rvp_profile::{Fig1Row, PlanScope, PredictionPlan, Profile, ProfileConfig};
 use rvp_realloc::{reallocate, ReallocOptions};
 use rvp_sample::{combine_weighted, Checkpoints, SamplePlan, SampleSpec, SampleWindow};
@@ -76,8 +77,9 @@ pub type RunMemo = Memo<u64, (SimStats, Option<Arc<SamplePlan>>)>;
 /// stream; both modes produce bit-identical [`SimStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SourceMode {
-    /// Re-emulate the workload inside every cell (the pre-refactor
-    /// behaviour, and the fallback whenever no trace can serve).
+    /// Re-emulate the workload inside every cell; register-reallocated
+    /// cells always run this way, whatever the mode (no shared trace
+    /// describes their transformed stream).
     Live,
     /// Capture the committed stream once per workload into a columnar
     /// [`TraceColumns`] shared by every cell — the default: a grid pays
@@ -219,16 +221,6 @@ pub struct SourceTally {
     pub live_fallbacks: u64,
 }
 
-impl ToJson for SourceTally {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("captures", self.captures.into()),
-            ("shared_hits", self.shared_hits.into()),
-            ("live_fallbacks", self.live_fallbacks.into()),
-        ])
-    }
-}
-
 /// Thread-safe per-workload [`SourceTally`] counters, shared by clones
 /// of a [`Runner`] (and so across grid threads).
 #[derive(Clone, Default)]
@@ -247,27 +239,6 @@ impl SourceCounters {
         let tallies = self.tallies.lock().expect("source counters poisoned");
         let mut out: Vec<_> = tallies.iter().map(|(&k, &v)| (k, v)).collect();
         out.sort_unstable_by_key(|&(k, _)| k);
-        out
-    }
-
-    /// The tallies as unified-registry samples (`rvp_source_*_total`,
-    /// one labelled sample per workload).
-    pub fn metrics(&self) -> Vec<rvp_obs::Metric> {
-        let mut out = Vec::new();
-        for (workload, tally) in self.snapshot() {
-            out.push(
-                rvp_obs::Metric::counter("rvp_source_captures_total", tally.captures)
-                    .with_label("workload", workload),
-            );
-            out.push(
-                rvp_obs::Metric::counter("rvp_source_shared_hits_total", tally.shared_hits)
-                    .with_label("workload", workload),
-            );
-            out.push(
-                rvp_obs::Metric::counter("rvp_source_live_fallbacks_total", tally.live_fallbacks)
-                    .with_label("workload", workload),
-            );
-        }
         out
     }
 
@@ -809,6 +780,38 @@ impl Runner {
         self.profile(wl, Input::Train, None).map(drop)
     }
 
+    /// Registers this runner's collectors with `registry`: the
+    /// per-workload source tallies (`rvp_source_*_total{workload}`),
+    /// the shared-trace evictions and, with a store, the plan-store
+    /// evictions. The collectors read counters shared by every clone of
+    /// the runner, so a grid or daemon registers once.
+    pub fn register_metrics(&self, registry: &MetricsRegistry) {
+        let sources = self.source_counters.clone();
+        registry.register(move || {
+            let mut out = Vec::new();
+            for (workload, t) in sources.snapshot() {
+                for (name, n) in [
+                    ("rvp_source_captures_total", t.captures),
+                    ("rvp_source_shared_hits_total", t.shared_hits),
+                    ("rvp_source_live_fallbacks_total", t.live_fallbacks),
+                ] {
+                    out.push(Metric::counter(name, n).with_label("workload", workload));
+                }
+            }
+            out
+        });
+        let shared = self.shared_traces.clone();
+        registry.register(move || {
+            vec![Metric::counter("rvp_shared_trace_evicted_total", shared.evicted())]
+        });
+        if let Some(store) = &self.traces {
+            let evicted = store.evictions();
+            registry.register(move || {
+                vec![Metric::counter("rvp_trace_evicted_total", evicted.load(Ordering::Relaxed))]
+            });
+        }
+    }
+
     /// Figure 1 measurement: register-value reuse of loads on the ref
     /// input.
     ///
@@ -1137,6 +1140,36 @@ mod tests {
         assert_eq!(plans.len(), 1, "{plans:?}");
         assert!(plans[0].starts_with("plan-") && plans[0].ends_with(".json"), "{plans:?}");
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A stored plan edited on disk fails its checksum: the run rebuilds
+    /// the plan, gives the cell a store-less runner gives, and rewrites
+    /// the file.
+    #[test]
+    fn a_tampered_stored_plan_is_rebuilt_and_rewritten() {
+        let dir = std::env::temp_dir().join(format!("rvp-plan-tamper-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = TraceStore::new(&dir).unwrap();
+        let (wl, scheme) = (by_name("li").unwrap(), spec("no_predict"));
+        let sampling = Some(SampleSpec { interval_insts: 20_000, ..SampleSpec::default() });
+        let stored = || Runner { traces: Some(store.clone()), sampling, ..quick_runner() };
+        let want = Runner { traces: None, sampling, ..quick_runner() }.run(&wl, &scheme).unwrap();
+        stored().run(&wl, &scheme).unwrap();
+
+        let plan = std::fs::read_dir(dir.join("plans")).unwrap().next().unwrap().unwrap().path();
+        let good = std::fs::read_to_string(&plan).unwrap();
+        let (sum, text) = good.split_once(' ').unwrap();
+        let at = text.find("\"weight\":").unwrap() + "\"weight\":".len();
+        let end = at + text[at..].find([',', '}']).unwrap();
+        let edited = format!("{}0.95{}", &text[..at], &text[end..]);
+        assert_ne!(edited, text);
+        let still_a_plan = SamplePlan::from_json(&Json::parse(&edited).unwrap());
+        assert!(still_a_plan.is_ok(), "only the checksum can catch this edit");
+        std::fs::write(&plan, format!("{sum} {edited}")).unwrap();
+
+        assert_eq!(stored().run(&wl, &scheme).unwrap().stats, want.stats);
+        assert_eq!(std::fs::read_to_string(&plan).unwrap(), good, "the plan is rewritten");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

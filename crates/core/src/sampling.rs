@@ -12,7 +12,8 @@
 //! reallocation that renamed a destination — so marked programs share
 //! the base windows too. Plans are memoized in memory and persisted
 //! content-addressed in the runner's store, so re-running a sweep skips
-//! the profiling pass entirely.
+//! the profiling pass entirely. A persisted plan is [`checksummed`]: one
+//! that fails its checksum is rebuilt, never trusted.
 
 use std::sync::Arc;
 
@@ -26,6 +27,7 @@ use rvp_sample::{
 use rvp_trace::TraceStore;
 use rvp_uarch::SimError;
 
+use crate::journal::{checksummed, verified};
 use crate::memo::Memo;
 
 /// Content key for a sampling plan, or for the windows cut from one
@@ -105,14 +107,18 @@ impl SamplingCaches {
     }
 }
 
+/// The persisted plan `key`, if its file verifies against its checksum
+/// and parses; anything else is a miss, so a damaged or edited plan is
+/// rebuilt (and overwritten) rather than trusted.
 fn load_plan(store: &TraceStore, key: u64) -> Option<SamplePlan> {
     let text = store.read_plan(key).ok()?;
-    match Json::parse(&text).ok().as_ref().map(SamplePlan::from_json) {
+    let plan = verified(&text).and_then(|text| Json::parse(text).ok());
+    match plan.as_ref().map(SamplePlan::from_json) {
         Some(Ok(plan)) => Some(plan),
         _ => {
             log::warn(
                 "rvp_core::sampling",
-                "cached sampling plan unreadable; rebuilding",
+                "stored sampling plan fails its checksum or does not parse; rebuilding",
                 &[("path", store.plan_path(key).display().to_string().into())],
             );
             None
@@ -121,7 +127,7 @@ fn load_plan(store: &TraceStore, key: u64) -> Option<SamplePlan> {
 }
 
 fn store_plan(store: &TraceStore, key: u64, plan: &SamplePlan) {
-    if let Err(e) = store.store_plan(key, &plan.to_json().to_string()) {
+    if let Err(e) = store.store_plan(key, &checksummed(&plan.to_json().to_string())) {
         log::warn(
             "rvp_core::sampling",
             "failed to persist sampling plan; it will be rebuilt next sweep",
@@ -179,7 +185,37 @@ pub(crate) fn build_plan<'p>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rvp_workloads::Input;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The plan loader on arbitrary file bytes: it never panics, and
+        /// bytes that do not verify against their checksum are a miss.
+        /// Half the cases are wrapped as checksummed records, so they
+        /// verify and reach the JSON and plan parsers.
+        #[test]
+        fn plan_loader_never_panics_and_unverified_bytes_miss(
+            bytes in proptest::collection::vec(any::<u8>(), 0..512),
+            wrap in any::<bool>(),
+        ) {
+            let bytes = match wrap {
+                true => checksummed(&String::from_utf8_lossy(&bytes)).into_bytes(),
+                false => bytes,
+            };
+            let dir = std::env::temp_dir()
+                .join(format!("rvp-plan-fuzz-{}", std::process::id()));
+            let store = TraceStore::new(&dir).unwrap();
+            std::fs::create_dir_all(dir.join("plans")).unwrap();
+            std::fs::write(store.plan_path(7), &bytes).unwrap();
+            let plan = load_plan(&store, 7);
+            let _ = std::fs::remove_dir_all(&dir);
+            if std::str::from_utf8(&bytes).ok().and_then(verified).is_none() {
+                prop_assert!(plan.is_none());
+            }
+        }
+    }
 
     /// Windows cut from the BBV pass's checkpoints are the windows a
     /// single forward pass cuts, record for record, at the `grid-sampled`

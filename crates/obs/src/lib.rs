@@ -17,16 +17,17 @@
 //!    `RVP_LOG_FILE`.
 //! 5. **Server-side metrics** ([`ServeMetrics`], [`LatencyHistogram`])
 //!    — lock-free request/queue/cache counters and a power-of-two
-//!    latency histogram for the `rvp-serve` daemon's `/metrics`
-//!    endpoint.
+//!    latency histogram for the `rvp-serve` daemon, exported as one
+//!    [`MetricsRegistry`] collector.
 //! 6. **Span tracing** ([`span`], the [`span!`] macro) — hierarchical
 //!    wall-clock spans across serve → grid → cell → simulator, with
 //!    Chrome trace-event (Perfetto) and folded-stack exporters.
 //!    Disarmed cost is one relaxed atomic load.
 //! 7. **A unified metrics registry** ([`MetricsRegistry`]) — one pull
-//!    model over the scattered counters, with Prometheus text
-//!    exposition; and the mockable monotonic [`Clock`] everything
-//!    above stamps time with.
+//!    model over every counter in the process, the only form in which
+//!    any leaves it (Prometheus text or `name{labels}`-keyed JSON); and
+//!    the mockable monotonic [`Clock`] everything above stamps time
+//!    with.
 
 pub mod cancel;
 pub mod clock;

@@ -1,13 +1,15 @@
-//! A unified metrics registry with Prometheus text exposition.
+//! The one metrics path: every counter in the process leaves it as a
+//! registry sample ([`Metric`]: name, labels, value).
 //!
-//! The workspace grew counters in four places — [`ServeMetrics`],
-//! the runner's `SourceCounters`, `rvp-fail`'s fired-site counters and
-//! the trace store's eviction count — each with its own snapshot
-//! shape. [`MetricsRegistry`] unifies them behind one pull model:
-//! subsystems register a collector closure, and `/metrics?format=prom`
-//! (or [`MetricsRegistry::to_json`]) gathers them all at request time.
-//! Collectors read relaxed atomics, so gathering is cheap and a
-//! slightly torn reading is acceptable (monitoring, not accounting).
+//! Subsystems register a collector closure — the daemon's
+//! [`ServeMetrics`], the runner's source tallies and evictions, the
+//! result cache's evictions, `rvp-fail`'s fired-site counters — and one
+//! gather renders them all, as Prometheus text
+//! ([`MetricsRegistry::to_prometheus`], `/metrics?format=prom`) or as a
+//! JSON object keyed `name{labels}` ([`MetricsRegistry::to_json`],
+//! `/metrics` and the grid summary's `metrics`). Collectors read relaxed
+//! atomics, so gathering is cheap and a slightly torn reading is
+//! acceptable (monitoring, not accounting).
 //!
 //! [`ServeMetrics`]: crate::ServeMetrics
 
@@ -64,6 +66,24 @@ impl Metric {
         self.labels.push((key, value.into()));
         self
     }
+
+    /// The sample's series key, `name{k="v",...}` (just `name` when
+    /// unlabelled), label values escaped per the exposition format: the
+    /// Prometheus line's left-hand side and the JSON object's key.
+    pub fn key(&self) -> String {
+        let mut key = self.name.to_owned();
+        if !self.labels.is_empty() {
+            key.push('{');
+            for (i, (name, value)) in self.labels.iter().enumerate() {
+                if i > 0 {
+                    key.push(',');
+                }
+                let _ = write!(key, "{name}=\"{}\"", escape_label(value));
+            }
+            key.push('}');
+        }
+        key
+    }
 }
 
 type Collector = Box<dyn Fn() -> Vec<Metric> + Send + Sync>;
@@ -109,17 +129,7 @@ impl MetricsRegistry {
             if typed.insert(metric.name) {
                 let _ = writeln!(out, "# TYPE {} {}", metric.name, metric.kind.as_str());
             }
-            out.push_str(metric.name);
-            if !metric.labels.is_empty() {
-                out.push('{');
-                for (i, (key, value)) in metric.labels.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{key}=\"{}\"", escape_label(value));
-                }
-                out.push('}');
-            }
+            out.push_str(&metric.key());
             if metric.value.fract() == 0.0 && metric.value.abs() < 1e15 {
                 let _ = writeln!(out, " {}", metric.value as i64);
             } else {
@@ -129,29 +139,18 @@ impl MetricsRegistry {
         out
     }
 
-    /// The same gather as a JSON object, `name{labels}` as keys.
+    /// The same gather as a JSON object, [`Metric::key`]s as keys.
     pub fn to_json(&self) -> Json {
         let pairs = self
             .gather()
             .into_iter()
             .map(|metric| {
-                let mut key = metric.name.to_owned();
-                if !metric.labels.is_empty() {
-                    key.push('{');
-                    for (i, (name, value)) in metric.labels.iter().enumerate() {
-                        if i > 0 {
-                            key.push(',');
-                        }
-                        let _ = write!(key, "{name}=\"{value}\"");
-                    }
-                    key.push('}');
-                }
                 let value = if metric.value.fract() == 0.0 && metric.value >= 0.0 {
                     Json::from(metric.value as u64)
                 } else {
                     Json::from(metric.value)
                 };
-                (key, value)
+                (metric.key(), value)
             })
             .collect();
         Json::Obj(pairs)
@@ -188,6 +187,39 @@ mod tests {
         assert!(text.contains("rvp_rate 0.75\n"), "{text}");
         let json = registry.to_json();
         assert_eq!(json.get("rvp_test_total").and_then(Json::as_u64), Some(3));
+    }
+
+    #[test]
+    fn json_and_prometheus_render_one_gather_alike() {
+        let registry = MetricsRegistry::new();
+        registry.register(|| {
+            vec![
+                Metric::counter("rvp_test_total", 7),
+                Metric::gauge("rvp_rate", 0.375),
+                Metric::gauge("rvp_lag", -2.0),
+                Metric::gauge("rvp_odd", 1.0).with_label("path", "a\"b\\c"),
+                Metric::counter("rvp_sites_total", 2)
+                    .with_label("site", "x")
+                    .with_label("kind", "io"),
+            ]
+        });
+        let prom = registry.to_prometheus();
+        let lines: Vec<(&str, f64)> = prom
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .map(|l| {
+                let (key, value) = l.rsplit_once(' ').unwrap();
+                (key, value.parse().unwrap())
+            })
+            .collect();
+        let json = registry.to_json();
+        let pairs = json.as_obj().unwrap();
+        assert_eq!(pairs.len(), lines.len(), "{prom}");
+        for ((key, value), (line_key, line_value)) in pairs.iter().zip(&lines) {
+            assert_eq!(key, line_key, "{prom}");
+            assert_eq!(value.as_f64(), Some(*line_value), "{key}");
+        }
+        assert!(prom.contains("rvp_sites_total{site=\"x\",kind=\"io\"} 2\n"), "{prom}");
     }
 
     #[test]

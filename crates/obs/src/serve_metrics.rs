@@ -1,14 +1,13 @@
 //! Server-side metrics for the `rvp-serve` daemon: request/queue/cache
-//! counters and a lock-free latency histogram, exposed at `/metrics`
-//! and rendered by `rvp-report`.
+//! counters and a lock-free latency histogram. They leave the process
+//! only as registry samples ([`ServeMetrics::metrics`]), gathered at
+//! `/metrics` with every other collector and rendered by `rvp-report`.
 //!
 //! Everything here is a relaxed atomic — handler threads bump counters
 //! concurrently with zero coordination, and a snapshot read is allowed
 //! to be slightly torn (it is monitoring data, not accounting).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use rvp_json::{Json, ToJson};
 
 use crate::registry::Metric;
 
@@ -23,7 +22,6 @@ use crate::registry::Metric;
 pub struct LatencyHistogram {
     buckets: [AtomicU64; Self::BUCKETS],
     count: AtomicU64,
-    sum_us: AtomicU64,
     max_us: AtomicU64,
 }
 
@@ -32,7 +30,6 @@ impl Default for LatencyHistogram {
         LatencyHistogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
-            sum_us: AtomicU64::new(0),
             max_us: AtomicU64::new(0),
         }
     }
@@ -52,18 +49,12 @@ impl LatencyHistogram {
         let bucket = (63 - u64::leading_zeros(us.max(1)) as usize).min(Self::BUCKETS - 1);
         self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_us.fetch_add(us, Ordering::Relaxed);
         self.max_us.fetch_max(us, Ordering::Relaxed);
     }
 
     /// Total samples recorded.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
-    }
-
-    /// Mean sample, in microseconds (0 when empty).
-    pub fn mean_us(&self) -> u64 {
-        self.sum_us.load(Ordering::Relaxed).checked_div(self.count()).unwrap_or(0)
     }
 
     /// Largest sample recorded, in microseconds.
@@ -90,19 +81,6 @@ impl LatencyHistogram {
             }
         }
         self.max_us()
-    }
-}
-
-impl ToJson for LatencyHistogram {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("count", self.count().into()),
-            ("mean_us", self.mean_us().into()),
-            ("p50_us", self.quantile_us(0.50).into()),
-            ("p90_us", self.quantile_us(0.90).into()),
-            ("p99_us", self.quantile_us(0.99).into()),
-            ("max_us", self.max_us().into()),
-        ])
     }
 }
 
@@ -147,8 +125,6 @@ pub struct ServeMetrics {
     pub request_timeouts: AtomicU64,
     /// Waiting clients that disconnected before their job finished.
     pub client_disconnects: AtomicU64,
-    /// Result-cache entries evicted to stay under the disk budget.
-    pub cache_evictions: AtomicU64,
     /// EWMA of queue wait (enqueue to worker pickup), microseconds —
     /// the signal the overload governor sheds on.
     pub queue_delay_ewma_us: AtomicU64,
@@ -213,7 +189,6 @@ impl ServeMetrics {
             Metric::counter("rvp_serve_drains_total", get(&self.drains)),
             Metric::counter("rvp_serve_request_timeouts_total", get(&self.request_timeouts)),
             Metric::counter("rvp_serve_client_disconnects_total", get(&self.client_disconnects)),
-            Metric::counter("rvp_serve_cache_evictions_total", get(&self.cache_evictions)),
             Metric::gauge("rvp_serve_queue_delay_ewma_us", get(&self.queue_delay_ewma_us) as f64),
             Metric::gauge("rvp_serve_queue_depth", get(&self.queue_depth) as f64),
             Metric::gauge("rvp_serve_queue_peak", get(&self.queue_peak) as f64),
@@ -240,37 +215,6 @@ impl ServeMetrics {
     }
 }
 
-impl ToJson for ServeMetrics {
-    fn to_json(&self) -> Json {
-        let get = |a: &AtomicU64| Json::from(a.load(Ordering::Relaxed));
-        Json::obj([
-            ("requests", get(&self.requests)),
-            ("client_errors", get(&self.client_errors)),
-            ("server_errors", get(&self.server_errors)),
-            ("rejected", get(&self.rejected)),
-            ("jobs_submitted", get(&self.jobs_submitted)),
-            ("jobs_completed", get(&self.jobs_completed)),
-            ("jobs_resumed", get(&self.jobs_resumed)),
-            ("cache_hits", get(&self.cache_hits)),
-            ("cache_misses", get(&self.cache_misses)),
-            ("cache_hit_rate", self.cache_hit_rate().into()),
-            ("cells_computed", get(&self.cells_computed)),
-            ("cells_failed", get(&self.cells_failed)),
-            ("jobs_cancelled", get(&self.jobs_cancelled)),
-            ("cells_cancelled", get(&self.cells_cancelled)),
-            ("shed", get(&self.shed)),
-            ("drains", get(&self.drains)),
-            ("request_timeouts", get(&self.request_timeouts)),
-            ("client_disconnects", get(&self.client_disconnects)),
-            ("cache_evictions", get(&self.cache_evictions)),
-            ("queue_delay_ewma_us", get(&self.queue_delay_ewma_us)),
-            ("queue_depth", get(&self.queue_depth)),
-            ("queue_peak", get(&self.queue_peak)),
-            ("request_latency", self.request_latency.to_json()),
-        ])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,7 +238,6 @@ mod tests {
         assert!((100..=127).contains(&p50), "p50 {p50}");
         let p99 = h.quantile_us(0.99);
         assert!((100_000..=131_071).contains(&p99), "p99 {p99}");
-        assert!(h.mean_us() >= 100 && h.mean_us() <= 100_000);
     }
 
     #[test]
@@ -308,8 +251,9 @@ mod tests {
         m.cache_hits.fetch_add(3, Ordering::Relaxed);
         m.cache_misses.fetch_add(1, Ordering::Relaxed);
         assert!((m.cache_hit_rate() - 0.75).abs() < 1e-12);
-        let j = m.to_json();
-        assert_eq!(j.get("queue_peak").and_then(Json::as_u64), Some(10));
-        assert!(j.get("request_latency").and_then(|l| l.get("count")).is_some());
+        let samples = m.metrics();
+        let peak = samples.iter().find(|s| s.name == "rvp_serve_queue_peak").unwrap();
+        assert_eq!(peak.value, 10.0);
+        assert!(samples.iter().any(|s| s.name == "rvp_serve_request_latency_count"));
     }
 }

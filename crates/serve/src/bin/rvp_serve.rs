@@ -25,8 +25,10 @@
 //! * `DELETE /jobs/<id>` — abort a job; its in-flight cells are
 //!   cooperatively squashed (unless another job shares them).
 //! * `POST /shutdown` — graceful drain, then exit.
-//! * `GET /metrics` — operational counters and latency histogram
-//!   (`?format=prom` for Prometheus exposition).
+//! * `GET /metrics` — every registry sample (daemon, runner, result
+//!   cache and failpoint counters, latency quantiles) as a JSON object
+//!   keyed `name{labels}`; `?format=prom` renders the same gather as
+//!   Prometheus text.
 //! * `GET /healthz` — liveness.
 
 use std::io::Write;

@@ -15,10 +15,14 @@
 //!   without simulating, a resumed sweep re-runs only what the kill
 //!   interrupted, and an entry damaged on disk is re-simulated, never
 //!   served.
-//! * **Containment** — cells run behind `catch_unwind`, retries and
-//!   the source-degradation ladder; failures surface as structured
-//!   JSON in the affected response, never as a dead daemon
-//!   ([`server`]).
+//! * **Containment** — cells run behind `catch_unwind` and transient
+//!   retries; failures surface as structured JSON in the affected
+//!   response, never as a dead daemon ([`server`]).
+//!
+//! Every counter — the daemon's, the runner's, the result cache's and
+//! the failpoints' — is a collector of one `MetricsRegistry`, and
+//! `GET /metrics` renders its gather as `name{labels}`-keyed JSON
+//! (`?format=prom` as Prometheus text).
 //!
 //! `rvp-perf` (its own package at the repository root) measures the
 //! daemon under load from outside.

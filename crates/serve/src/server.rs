@@ -112,7 +112,7 @@ pub enum CellOutcome {
         /// Served from the result cache.
         cached: bool,
     },
-    /// The cell failed every containment rung; the error is reported
+    /// The cell failed past its transient retries; the error is reported
     /// in-band and the rest of the sweep is unaffected.
     Failed {
         /// Human-readable failure description.
@@ -328,11 +328,6 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Server-side metrics, shared with the daemon.
-    pub fn metrics(&self) -> Arc<ServeMetrics> {
-        Arc::clone(&self.inner.metrics)
-    }
-
     /// Blocks serving requests until a drain stops the daemon (the
     /// binary's main thread), then joins the accept thread and the
     /// executor's workers.
@@ -464,23 +459,18 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
     Ok(ServerHandle { addr, inner, accept })
 }
 
-/// Wires every counter family in the process into the unified registry:
-/// the daemon's own [`ServeMetrics`], the runner's per-workload source
-/// tallies and shared-trace evictions, the trace store's eviction
-/// counter, and `rvp-fail`'s fired-site counters.
+/// Wires every counter in the process into the one registry that
+/// `/metrics` renders: the daemon's own [`ServeMetrics`], the runner's
+/// collectors ([`Runner::register_metrics`]), the result cache's
+/// evictions and `rvp-fail`'s fired-site counters.
 fn register_collectors(inner: &Arc<Inner>) {
     let metrics = Arc::clone(&inner.metrics);
     inner.registry.register(move || metrics.metrics());
-    let sources = inner.base.source_counters.clone();
-    inner.registry.register(move || sources.metrics());
-    let shared = inner.base.shared_traces.clone();
+    inner.base.register_metrics(&inner.registry);
+    let evicted = inner.cache.evictions();
     inner.registry.register(move || {
-        vec![Metric::counter("rvp_shared_trace_evicted_total", shared.evicted())]
+        vec![Metric::counter("rvp_serve_cache_evictions_total", evicted.load(Ordering::Relaxed))]
     });
-    if let Some(store) = &inner.base.traces {
-        let counters = Arc::clone(store.counters());
-        inner.registry.register(move || counters.metrics());
-    }
     inner.registry.register(|| {
         rvp_fail::snapshot()
             .into_iter()
@@ -626,17 +616,11 @@ fn route(inner: &Arc<Inner>, request: &Request, stream: &TcpStream) -> Routed {
             (202, Vec::new(), Body::Json(body))
         }
         ("GET", "/metrics") => {
-            // The eviction counter lives on the cache; mirror it into
-            // the snapshot the endpoint renders.
-            inner
-                .metrics
-                .cache_evictions
-                .store(inner.cache.evictions().load(Ordering::Relaxed), Ordering::Relaxed);
             if request.query_param("format") == Some("prom") {
                 let text = inner.registry.to_prometheus();
                 (200, Vec::new(), Body::Text { content_type: "text/plain; version=0.0.4", text })
             } else {
-                (200, Vec::new(), Body::Json(inner.metrics.to_json()))
+                (200, Vec::new(), Body::Json(inner.registry.to_json()))
             }
         }
         ("GET", "/healthz") => {
@@ -926,9 +910,9 @@ fn submit(
 
 /// The work one cache miss runs on an executor worker: the cell under
 /// the grid's full containment stack (panic catching, transient
-/// retries, source-degradation ladder), polling the flight's token, with
-/// its queue wait and execution traced back to the admitting request.
-/// Failures come back as data, never as a dead worker.
+/// retries), polling the flight's token, with its queue wait and
+/// execution traced back to the admitting request. Failures come back
+/// as data, never as a dead worker.
 fn cell_work(
     inner: &Inner,
     cell: GridCell,
@@ -996,8 +980,8 @@ fn complete(inner: &Inner, executed: Executed, subscribers: Vec<Subscriber>) {
             }
             CellOutcome::Failed {
                 error: format!(
-                    "cell {} poisoned at stage {} after {} attempts: {}",
-                    poisoned.label, poisoned.stage, poisoned.attempts, poisoned.error
+                    "cell {} poisoned after {} attempts: {}",
+                    poisoned.label, poisoned.attempts, poisoned.error
                 ),
             }
         }

@@ -158,6 +158,14 @@ pub fn post_job(addr: SocketAddr, body: &Json) -> u64 {
     accepted.json().and_then(|j| j.get("job").and_then(Json::as_u64)).expect("job id")
 }
 
+/// The value of one registry sample of the daemon's `GET /metrics`,
+/// by its `name{labels}` key; panics when the daemon exports no such
+/// sample, so a renamed metric fails loudly instead of reading 0.
+pub fn metric(addr: SocketAddr, key: &str) -> u64 {
+    let metrics = request(addr, "GET", "/metrics", None).json().expect("metrics json");
+    metrics.get(key).and_then(Json::as_u64).unwrap_or_else(|| panic!("no sample {key}: {metrics}"))
+}
+
 /// Occupies the worker of a one-worker daemon with a
 /// [`long_sampled_cell`] job, so the jobs posted next queue behind it;
 /// returns that job's id (DELETE it to free the worker).
@@ -165,8 +173,7 @@ pub fn hold_the_worker(addr: SocketAddr) -> u64 {
     let id = post_job(addr, &long_sampled_cell(&[]));
     // The queue-delay EWMA is observed when a worker dequeues a cell.
     wait_for("the long cell to start", Duration::from_secs(30), || {
-        let metrics = request(addr, "GET", "/metrics", None).json().expect("metrics json");
-        metrics.get("queue_delay_ewma_us").and_then(Json::as_u64).unwrap_or(0) > 0
+        metric(addr, "rvp_serve_queue_delay_ewma_us") > 0
     });
     id
 }

@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::{cache_files, request, sweep_body, Daemon, TempDir};
+use common::{cache_files, metric, request, sweep_body, Daemon, TempDir};
 use rvp_core::Json;
 
 #[test]
@@ -34,8 +34,7 @@ fn journal_append_fault_is_a_structured_503_and_daemon_survives() {
     assert_eq!(retry.get("computed").and_then(Json::as_u64), Some(2));
     assert_eq!(retry.get("failed").and_then(Json::as_u64), Some(0));
 
-    let metrics = request(daemon.addr, "GET", "/metrics", None).json().expect("metrics");
-    assert!(metrics.get("server_errors").and_then(Json::as_u64).unwrap_or(0) >= 1);
+    assert!(metric(daemon.addr, "rvp_serve_server_errors_total") >= 1);
 }
 
 #[test]
@@ -67,9 +66,8 @@ fn cache_read_fault_is_a_structured_500_and_disk_stays_good() {
     assert_eq!(retry.get("cached").and_then(Json::as_u64), Some(2));
     assert_eq!(retry.get("computed").and_then(Json::as_u64), Some(0));
 
-    let metrics = request(daemon.addr, "GET", "/metrics", None).json().expect("metrics");
-    assert!(metrics.get("server_errors").and_then(Json::as_u64).unwrap_or(0) >= 1);
-    assert_eq!(metrics.get("cells_computed").and_then(Json::as_u64), Some(0));
+    assert!(metric(daemon.addr, "rvp_serve_server_errors_total") >= 1);
+    assert_eq!(metric(daemon.addr, "rvp_serve_cells_computed_total"), 0);
 }
 
 /// The `result` object of every cell of a sweep response, in order.

@@ -4,11 +4,12 @@
 
 mod common;
 
+use std::collections::HashMap;
 use std::time::Duration;
 
 use common::{
-    cache_files, hold_the_worker, post_job, request, sweep_body, wait_for, wait_job_done, Daemon,
-    TempDir,
+    cache_files, hold_the_worker, metric, post_job, request, sweep_body, wait_for, wait_job_done,
+    Daemon, TempDir,
 };
 use rvp_core::Json;
 
@@ -61,27 +62,42 @@ fn sweep_computes_then_repeat_is_all_cache_hits() {
     let other = request(daemon.addr, "POST", "/sweep", Some(&other)).json().expect("json");
     assert_eq!(other.get("computed").and_then(Json::as_u64), Some(2));
 
-    // Metrics reflect all of the above.
+    // Metrics reflect all of the above, as registry samples keyed
+    // `name{labels}`.
+    wait_for("the queue to drain", Duration::from_secs(30), || {
+        metric(daemon.addr, "rvp_serve_queue_depth") == 0
+    });
     let metrics = request(daemon.addr, "GET", "/metrics", None).json().expect("metrics json");
-    assert!(metrics.get("cache_hits").and_then(Json::as_u64).unwrap_or(0) >= 2);
-    assert!(metrics.get("cells_computed").and_then(Json::as_u64).unwrap_or(0) >= 4);
-    assert!(
-        metrics
-            .get("request_latency")
-            .and_then(|l| l.get("count"))
-            .and_then(Json::as_u64)
-            .unwrap_or(0)
-            >= 3
-    );
+    let sample = |key: &str| metrics.get(key).and_then(Json::as_u64).unwrap_or(0);
+    assert!(sample("rvp_serve_cache_hits_total") >= 2, "{metrics}");
+    assert!(sample("rvp_serve_cells_computed_total") >= 4, "{metrics}");
+    assert!(sample("rvp_serve_request_latency_count") >= 3, "{metrics}");
+    assert!(sample("rvp_source_captures_total{workload=\"li\"}") >= 1, "{metrics}");
 
-    // The unified registry speaks Prometheus text exposition.
+    // The same gather as Prometheus text: every JSON sample is a series
+    // there with the same value. Only the request family may move
+    // between the two reads, because the reads are requests themselves.
     let prom = request(daemon.addr, "GET", "/metrics?format=prom", None);
     assert_eq!(prom.status, 200);
     assert!(prom.header("content-type").unwrap_or("").starts_with("text/plain"));
     let prom = String::from_utf8(prom.body).expect("prometheus text is UTF-8");
     assert!(prom.contains("# TYPE rvp_serve_requests_total counter"), "{prom}");
-    assert!(prom.contains("rvp_serve_cells_computed_total"), "{prom}");
-    assert!(prom.contains("rvp_source_captures_total{workload=\"li\"}"), "{prom}");
+    let series: HashMap<&str, f64> = prom
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .filter_map(|line| {
+            let (key, value) = line.rsplit_once(' ')?;
+            Some((key, value.parse().ok()?))
+        })
+        .collect();
+    let samples = metrics.as_obj().expect("/metrics is a JSON object");
+    assert_eq!(samples.len(), series.len(), "{metrics}\n{prom}");
+    for (key, value) in samples {
+        let line = series.get(key.as_str()).unwrap_or_else(|| panic!("{key} not in {prom}"));
+        if !key.starts_with("rvp_serve_request") {
+            assert_eq!(value.as_f64(), Some(*line), "{key}");
+        }
+    }
 
     // The span tracer saw the whole request lifecycle: the exported
     // Chrome trace parses, and the serve → grid → sim span chain links
@@ -208,8 +224,7 @@ fn sigkill_mid_sweep_then_restart_resumes_bit_identical() {
     let repeat = repeat.json().expect("repeat json");
     assert_eq!(repeat.get("cached").and_then(Json::as_u64), Some(6));
     assert_eq!(repeat.get("computed").and_then(Json::as_u64), Some(0));
-    let metrics = request(revived.addr, "GET", "/metrics", None).json().expect("metrics");
-    assert!(metrics.get("jobs_resumed").and_then(Json::as_u64).unwrap_or(0) >= 1);
+    assert!(metric(revived.addr, "rvp_serve_jobs_resumed_total") >= 1);
 }
 
 /// 2 workloads x 3 schemes with budgets big enough that a single
@@ -251,8 +266,7 @@ fn full_admission_queue_rejects_with_retry_after() {
     ]);
     let ok = request(daemon.addr, "POST", "/sweep", Some(&small));
     assert_eq!(ok.status, 200);
-    let metrics = request(daemon.addr, "GET", "/metrics", None).json().expect("metrics");
-    assert!(metrics.get("rejected").and_then(Json::as_u64).unwrap_or(0) >= 1);
+    assert!(metric(daemon.addr, "rvp_serve_rejected_total") >= 1);
 }
 
 /// The one cell two jobs share in the single-flight tests.
@@ -278,8 +292,7 @@ fn held_daemon(dir: &TempDir) -> (Daemon, u64) {
 }
 
 fn cells_computed(daemon: &Daemon) -> u64 {
-    let metrics = request(daemon.addr, "GET", "/metrics", None).json().expect("metrics json");
-    metrics.get("cells_computed").and_then(Json::as_u64).expect("cells_computed")
+    metric(daemon.addr, "rvp_serve_cells_computed_total")
 }
 
 /// The one cell of a finished job, as the API reports it.

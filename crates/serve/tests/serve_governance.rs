@@ -13,8 +13,8 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use common::{
-    cache_files, hold_the_worker, long_sampled_cell, post_job, request, wait_for, wait_job_done,
-    Daemon, TempDir,
+    cache_files, hold_the_worker, long_sampled_cell, metric, post_job, request, wait_for,
+    wait_job_done, Daemon, TempDir,
 };
 use rvp_core::Json;
 
@@ -35,14 +35,6 @@ fn sized_cell(threshold: f64, measure_insts: u64, wait: bool) -> Json {
         ("threshold", threshold.into()),
         ("wait", wait.into()),
     ])
-}
-
-fn metrics_json(daemon: &Daemon) -> Json {
-    request(daemon.addr, "GET", "/metrics", None).json().expect("metrics json")
-}
-
-fn metric(daemon: &Daemon, key: &str) -> u64 {
-    metrics_json(daemon).get(key).and_then(Json::as_u64).unwrap_or(0)
 }
 
 #[test]
@@ -76,7 +68,7 @@ fn slowloris_gets_408_and_idle_keepalive_is_reaped_silently() {
     assert!(wire.starts_with("HTTP/1.1 200"), "healthz answered first: {wire:?}");
     assert!(!wire.contains("408"), "idle reap must be silent, got: {wire:?}");
 
-    assert!(metric(&daemon, "request_timeouts") >= 1, "slowloris counted");
+    assert!(metric(daemon.addr, "rvp_serve_request_timeouts_total") >= 1, "slowloris counted");
 }
 
 #[test]
@@ -96,7 +88,7 @@ fn delete_aborts_a_long_cell_and_frees_its_worker_within_250ms() {
     // queue-delay EWMA is observed at *dequeue* — `queue_depth` only
     // drops at completion, which is exactly what we must not wait for.
     wait_for("cell dequeued", Duration::from_secs(30), || {
-        metric(&daemon, "queue_delay_ewma_us") > 0
+        metric(daemon.addr, "rvp_serve_queue_delay_ewma_us") > 0
     });
     std::thread::sleep(Duration::from_secs(1));
 
@@ -107,7 +99,7 @@ fn delete_aborts_a_long_cell_and_frees_its_worker_within_250ms() {
 
     // The acceptance bar: the worker observes the squash within 250ms.
     let t0 = Instant::now();
-    while metric(&daemon, "cells_cancelled") < 1 {
+    while metric(daemon.addr, "rvp_serve_cells_cancelled_total") < 1 {
         assert!(
             t0.elapsed() < Duration::from_millis(250),
             "worker still busy {:?} after DELETE",
@@ -123,7 +115,7 @@ fn delete_aborts_a_long_cell_and_frees_its_worker_within_250ms() {
     assert_eq!(job.get("failed").and_then(Json::as_u64), Some(1));
     let quick = request(daemon.addr, "POST", "/sweep", Some(&one_cell(0.9, true)));
     assert_eq!(quick.status, 200);
-    assert!(metric(&daemon, "jobs_cancelled") >= 1);
+    assert!(metric(daemon.addr, "rvp_serve_jobs_cancelled_total") >= 1);
 }
 
 #[test]
@@ -166,7 +158,7 @@ fn deadline_ms_squashes_an_overrunning_job_into_a_structured_failure() {
     let cell = &done.get("cells").and_then(Json::as_arr).expect("cells")[0];
     let error = cell.get("error").and_then(Json::as_str).unwrap_or_default();
     assert!(error.contains("deadline"), "cell error names the deadline: {error:?}");
-    assert!(metric(&daemon, "cells_cancelled") >= 1);
+    assert!(metric(daemon.addr, "rvp_serve_cells_cancelled_total") >= 1);
 }
 
 #[test]
@@ -215,7 +207,7 @@ fn overload_shedding_rejects_with_429_before_the_queue_cap() {
     let error = body.get("error").and_then(Json::as_str).unwrap_or_default();
     assert!(error.contains("overloaded"), "shed, not queue-full: {error:?}");
     assert!(body.get("queue_delay_ms").is_some());
-    assert!(metric(&daemon, "shed") >= 1);
+    assert!(metric(daemon.addr, "rvp_serve_shed_total") >= 1);
 }
 
 #[test]
@@ -304,7 +296,7 @@ fn sigterm_drain_exits_zero_and_loses_none_of_500_admitted_jobs() {
         let warm = warm.json().expect("warm json");
         assert_eq!(warm.get("cached").and_then(Json::as_u64), Some(1), "threshold {t}");
     }
-    assert!(metric(&revived, "jobs_resumed") >= 1);
+    assert!(metric(revived.addr, "rvp_serve_jobs_resumed_total") >= 1);
 }
 
 fn dir_bytes(dir: &Path) -> u64 {
@@ -373,8 +365,7 @@ fn cache_budgets_hold_under_a_sustained_sweep() {
     // Both evictors ran and are observable: the serve counter in the
     // JSON metrics, the shared-trace counter in the Prometheus
     // exposition.
-    let metrics = request(addr, "GET", "/metrics", None).json().expect("metrics json");
-    assert!(metrics.get("cache_evictions").and_then(Json::as_u64).unwrap_or(0) >= 1);
+    assert!(metric(addr, "rvp_serve_cache_evictions_total") >= 1);
     let prom = request(addr, "GET", "/metrics?format=prom", None);
     let prom = String::from_utf8(prom.body).expect("prom utf8");
     let evicted = prom

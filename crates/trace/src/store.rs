@@ -1,7 +1,7 @@
 //! On-disk store of captured traces and persisted sampling plans.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use rvp_isa::Program;
@@ -11,26 +11,6 @@ use crate::durable::BudgetDir;
 use crate::format::{TraceError, TraceMeta};
 use crate::reader::TraceReader;
 use crate::writer::capture;
-
-/// Counters describing how a [`TraceStore`] has been used; shared by
-/// clones of the store, so a parallel grid reports one total.
-#[derive(Debug, Default)]
-pub struct StoreCounters {
-    /// The store directory's eviction counter.
-    evicted: Arc<AtomicU64>,
-}
-
-impl StoreCounters {
-    /// The counters as unified-registry samples (`rvp_trace_*`).
-    pub fn metrics(&self) -> Vec<rvp_obs::Metric> {
-        vec![rvp_obs::Metric::counter("rvp_trace_evicted_total", self.evicted())]
-    }
-
-    /// Entries evicted to stay under the store's byte budget.
-    pub fn evicted(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
-    }
-}
 
 /// A directory of captured traces, keyed by [`TraceMeta`], and of
 /// persisted sampling plans, keyed by content.
@@ -46,7 +26,6 @@ impl StoreCounters {
 pub struct TraceStore {
     /// Governs `*.rvpt` entries and persisted sampling plans.
     dir: BudgetDir,
-    counters: Arc<StoreCounters>,
 }
 
 /// A reader over a stored trace file.
@@ -75,8 +54,7 @@ impl TraceStore {
             &[("", "rvpt"), (PLANS_SUBDIR, "json")],
             "trace.store",
         )?;
-        let counters = StoreCounters { evicted: Arc::clone(dir.evictions()) };
-        Ok(TraceStore { dir, counters: Arc::new(counters) })
+        Ok(TraceStore { dir })
     }
 
     /// Builds a store from the `RVP_TRACE_DIR` environment variable, or
@@ -99,9 +77,11 @@ impl TraceStore {
         }
     }
 
-    /// Usage counters shared across clones of this store.
-    pub fn counters(&self) -> &Arc<StoreCounters> {
-        &self.counters
+    /// Entries evicted so far to stay under the byte budget; shared by
+    /// clones of the store, so a metrics collector can read it without
+    /// holding the store.
+    pub fn evictions(&self) -> Arc<AtomicU64> {
+        Arc::clone(self.dir.evictions())
     }
 
     /// Root directory of the cache.

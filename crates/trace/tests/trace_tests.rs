@@ -502,5 +502,5 @@ fn sampling_plan_writes_are_governed_like_traces() {
     store.store_plan(1, &plan).expect("plan write");
     assert_eq!(store.read_plan(1).expect("stored plan"), plan);
     assert!(!store.path_for(&meta).exists(), "the plan write evicted the older trace");
-    assert_eq!(store.counters().evicted(), 1);
+    assert_eq!(store.evictions().load(std::sync::atomic::Ordering::Relaxed), 1);
 }
