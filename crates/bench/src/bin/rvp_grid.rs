@@ -67,7 +67,9 @@
 //! ## The summary
 //!
 //! `OUT_DIR/grid_summary.json` holds the cell, failure, resume and
-//! throughput counts, the per-cell wall times below, and under
+//! throughput counts, the process's peak resident set as `peak_rss_mb`
+//! (`VmHWM` from `/proc/self/status`, omitted where that file does not
+//! exist), the per-cell wall times below, and under
 //! `"metrics"` the runner's registry samples (per-workload source
 //! tallies and evictions) in the `name{labels}`-keyed shape of the
 //! daemon's `/metrics`; `rvp-report` renders both with one renderer.
@@ -134,6 +136,15 @@ fn usage() -> ExitCode {
 /// The file (in the output directory) per-cell wall times persist in,
 /// read back by the next run's longest-job-first schedule.
 const SUMMARY_FILE: &str = "grid_summary.json";
+
+/// This process's peak resident set so far in MB (`VmHWM` kB / 1024),
+/// or `None` where `/proc/self/status` does not exist.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let hwm = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = hwm.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kb / 1024.0)
+}
 
 /// The per-cell wall times of a previous run's summary, if any, by
 /// label.
@@ -531,21 +542,29 @@ fn main() -> ExitCode {
     let mut cell_seconds: BTreeMap<String, f64> =
         prior.into_iter().filter(|(label, _)| !planned.contains(label)).collect();
     cell_seconds.extend(successes.iter().filter_map(|s| Some((s.label.clone(), s.seconds?))));
-    let summary = Json::obj([
-        ("cells", (successes.len() as u64).into()),
-        ("failures", failures),
-        ("resumed_cells", (resumed_cells as u64).into()),
-        ("elapsed_s", elapsed.as_secs_f64().into()),
-        ("simulated_insts", simulated.into()),
-        ("profiles", (runner.profiles.len() as u64).into()),
-        ("simulations", (runner.runs.len() as u64).into()),
-        ("source_mode", runner.source_mode.name().into()),
-        (
-            "cell_seconds",
-            Json::Obj(cell_seconds.into_iter().map(|(label, secs)| (label, secs.into())).collect()),
-        ),
-        ("metrics", metrics.to_json()),
-    ]);
+    let summary = Json::obj(
+        [
+            ("cells", (successes.len() as u64).into()),
+            ("failures", failures),
+            ("resumed_cells", (resumed_cells as u64).into()),
+            ("elapsed_s", elapsed.as_secs_f64().into()),
+            ("simulated_insts", simulated.into()),
+            ("profiles", (runner.profiles.len() as u64).into()),
+            ("simulations", (runner.runs.len() as u64).into()),
+            ("source_mode", runner.source_mode.name().into()),
+        ]
+        .into_iter()
+        .chain(peak_rss_mb().map(|mb| ("peak_rss_mb", mb.into())))
+        .chain([
+            (
+                "cell_seconds",
+                Json::Obj(
+                    cell_seconds.into_iter().map(|(label, secs)| (label, secs.into())).collect(),
+                ),
+            ),
+            ("metrics", metrics.to_json()),
+        ]),
+    );
     log::info(
         "rvp-grid",
         "grid complete",

@@ -20,8 +20,8 @@
 //!    IPC error,
 //! 5. a resilience section from a grid summary in the directory:
 //!    poisoned cells (with the attempts and error that killed them),
-//!    total retries, resumed cells and any injected failpoint hits from
-//!    a chaos run,
+//!    total retries, resumed cells, any injected failpoint hits from
+//!    a chaos run and the sweep's peak resident set (`peak_rss_mb`),
 //! 6. a metrics section for every set of registry samples in the
 //!    directory — a grid summary's `metrics` (per-workload source
 //!    tallies, evictions) or an `rvp-serve` `/metrics` download (request,
@@ -456,7 +456,8 @@ fn print_sampling(cells: &[Cell]) {
 /// `dir` (a file with a structured `failures` object — the shape
 /// `rvp-grid` writes): poisoned cells with the attempts and error that
 /// ended them, retry and resume counters, and per-site injected-fault
-/// counts from a chaos run.
+/// counts from a chaos run, and the sweep's peak resident set when the
+/// summary records one.
 fn print_resilience(dir: &Path) {
     for (path, summary) in json_files(dir) {
         let Some(failures) = summary.get("failures").filter(|f| f.as_obj().is_some()) else {
@@ -481,6 +482,9 @@ fn print_resilience(dir: &Path) {
             count("retries"),
             resumed
         );
+        if let Some(mb) = summary.get("peak_rss_mb").and_then(Json::as_f64) {
+            println!("  peak_rss_mb {mb:.1}");
+        }
         if let Some(poisoned) = failures.get("poisoned").and_then(Json::as_arr) {
             if !poisoned.is_empty() {
                 println!("{:>22} {:>9}  error", "cell", "attempts");

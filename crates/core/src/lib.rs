@@ -47,8 +47,8 @@ pub use fatal::{
 pub use journal::{checksummed, journal_line, verified, Log};
 pub use memo::Memo;
 pub use runner::{
-    ProfileCache, RunMemo, RunResult, Runner, SharedTraceCache, SourceCounters, SourceMode,
-    SourceTally,
+    ProfileCache, ProgramHashCache, RunMemo, RunResult, Runner, SharedTraceCache, SourceCounters,
+    SourceMode, SourceTally,
 };
 pub use sampling::SamplingCaches;
 pub use schemes::{

@@ -65,6 +65,14 @@ type ProfileKey = (&'static str, Input, u64, u64, Option<u64>);
 /// the (expensive) profile is recollected per scheme.
 pub type ProfileCache = Memo<ProfileKey, Arc<Profile>>;
 
+/// A thread-safe memo of [`program_hash`]es of workload programs by
+/// (workload, input, scale), shared by clones of a [`Runner`].
+///
+/// Hashing formats the whole program as assembly text (hundreds of
+/// microseconds on the larger workloads), and [`Runner::run`] needs the
+/// ref program's hash for every cell, memo hits included.
+pub type ProgramHashCache = Memo<(&'static str, Input, u64), u64>;
+
 /// A thread-safe memo of whole simulations by run fingerprint
 /// ([`Runner::run`]), shared by clones of a [`Runner`]: the stats and,
 /// for a sampled cell, the plan behind them.
@@ -317,6 +325,8 @@ pub struct Runner {
     /// Memo of collected profiles, shared across clones (and therefore
     /// across the threads of a parallel grid).
     pub profiles: ProfileCache,
+    /// Memo of workload programs' hashes, shared across clones.
+    pub program_hashes: ProgramHashCache,
     /// Memo of simulations by run fingerprint, shared across clones:
     /// cells that hand the timing core the same input simulate once
     /// ([`Runner::run`]); `runs.len()` counts the distinct simulations.
@@ -369,6 +379,7 @@ impl Default for Runner {
             workload_scale: 1,
             samples: SamplingCaches::default(),
             profiles: ProfileCache::default(),
+            program_hashes: ProgramHashCache::default(),
             runs: RunMemo::default(),
             traces: TraceStore::from_env(),
             source_mode: SourceMode::default(),
@@ -389,6 +400,16 @@ impl Runner {
     /// The workload's program at this runner's [`Runner::workload_scale`].
     pub fn program_for(&self, wl: &Workload, input: Input) -> Program {
         wl.program_scaled(input, self.workload_scale)
+    }
+
+    /// [`program_hash`] of `program`, which is [`Runner::program_for`]
+    /// (`wl`, `input`), memoized in [`Runner::program_hashes`].
+    fn program_hash_of(&self, wl: &Workload, input: Input, program: &Program) -> u64 {
+        let key = (wl.name(), input, self.workload_scale);
+        let hash = self
+            .program_hashes
+            .get_or_try_init(key, || Ok::<_, std::convert::Infallible>(program_hash(program)));
+        hash.unwrap_or_else(|never| match never {})
     }
 
     /// Fails fast with [`SimError::Cancelled`] if this runner's token
@@ -537,7 +558,7 @@ impl Runner {
     fn prepare(&self, wl: &Workload, scheme: &SchemeSpec) -> Result<PreparedCell, SimError> {
         let info = scheme.info();
         let base = self.program_for(wl, Input::Ref);
-        let base_hash = program_hash(&base);
+        let base_hash = self.program_hash_of(wl, Input::Ref, &base);
         let train = self.program_for(wl, Input::Train);
         if base.len() != train.len() {
             return Err(SimError::StructureMismatch {
@@ -761,7 +782,7 @@ impl Runner {
     pub fn prewarm_trace(&self, wl: &Workload) -> Result<(), SimError> {
         if let Some(spec) = &self.sampling {
             let base = self.program_for(wl, Input::Ref);
-            let base = (&base, program_hash(&base));
+            let base = (&base, self.program_hash_of(wl, Input::Ref, &base));
             return self.sample_windows(wl.name(), base, base, spec).map(drop);
         }
         match self.source_mode {
@@ -935,6 +956,20 @@ mod tests {
     }
 
     #[test]
+    fn the_ref_program_is_hashed_once_per_workload_across_clones() {
+        let r = quick_runner();
+        let wl = by_name("li").unwrap();
+        r.run(&wl, &spec("no_predict")).unwrap();
+        r.clone().run(&wl, &spec("drvp_all")).unwrap();
+        assert_eq!(r.program_hashes.len(), 1, "clones share one hash memo");
+        let base = r.program_for(&wl, Input::Ref);
+        assert_eq!(r.program_hash_of(&wl, Input::Ref, &base), program_hash(&base));
+        let scaled = Runner { workload_scale: 2, ..r.clone() };
+        scaled.run(&wl, &spec("no_predict")).unwrap();
+        assert_eq!(r.program_hashes.len(), 2, "the scale is part of the key");
+    }
+
+    #[test]
     fn all_source_modes_agree_and_are_counted() {
         let wl = by_name("m88ksim").unwrap();
 
@@ -1033,7 +1068,7 @@ mod tests {
             for (g, w) in got.iter().zip(&want) {
                 assert_eq!((g.index, g.start, g.cluster), (w.index, w.start, w.cluster), "{name}");
                 assert_eq!(g.weight.to_bits(), w.weight.to_bits(), "{name}");
-                assert_eq!(g.warmup, w.warmup, "{name}: warmup records differ");
+                assert!(g.warmup.records().eq(w.warmup.records()), "{name}: warmup records differ");
                 assert_eq!(records(g), records(w), "{name}: detail records differ");
             }
         }

@@ -53,7 +53,9 @@ pub(crate) fn sample_key(
 /// Thread-safe memos of sampling plans and extracted windows, shared by
 /// clones of a [`crate::Runner`] exactly like its profile and trace
 /// caches: grid threads racing on the same workload profile it once
-/// while different workloads proceed in parallel.
+/// while different workloads proceed in parallel. Neither memo is
+/// bounded: every window set stays resident for the process's (or the
+/// daemon's) lifetime.
 #[derive(Clone, Default, Debug)]
 pub struct SamplingCaches {
     plans: Memo<u64, Arc<SamplePlan>>,
@@ -84,10 +86,11 @@ impl SamplingCaches {
     }
 
     /// The extracted windows for `key`, memoized like [`Self::plan`].
-    /// Windows are a few MB of committed records — worth sharing across
-    /// every scheme cell whose committed stream they carry, not worth
-    /// persisting (re-extraction is at most one streaming emulation
-    /// pass).
+    /// A window set holds `k × (warmup + interval)` records in columns
+    /// at 30 B each — a few MB at the default budgets, about 120 MB at
+    /// the paper-scale defaults — worth sharing across every scheme cell
+    /// whose committed stream they carry, not worth persisting
+    /// (re-extraction is at most one streaming emulation pass).
     pub(crate) fn windows(
         &self,
         key: u64,
@@ -237,7 +240,9 @@ mod tests {
             for (g, w) in got.iter().zip(&want) {
                 assert_eq!((g.index, g.start, g.cluster), (w.index, w.start, w.cluster), "{name}");
                 assert_eq!(g.weight.to_bits(), w.weight.to_bits(), "{name}");
-                assert_eq!(g.warmup, w.warmup, "{name}: warmup records differ");
+                assert!(g.warmup.records().eq(w.warmup.records()), "{name}: warmup records differ");
+                let warmup_start = g.start - g.warmup.len() as u64;
+                assert_eq!(g.warmup.first_seq(), warmup_start, "{name}: warmup keeps its seqs");
                 assert!(
                     g.detail.records().eq(w.detail.records()),
                     "{name}: detail records of window {} differ",
@@ -245,5 +250,25 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A window set holds every record it replays in columns, warmup
+    /// and detail alike, at 30 bytes a record: li at the `grid-sampled`
+    /// configuration (scale 4, a 2.5M budget, `max_k=4`).
+    #[test]
+    fn a_window_set_costs_at_most_30_bytes_per_record() {
+        let budget = 2_500_000;
+        let spec = SampleSpec { max_k: 4, ..SampleSpec::default() };
+        let (interval, warmup) = spec.resolve(budget);
+        let program = rvp_workloads::by_name("li").unwrap().program_scaled(Input::Ref, 4);
+        let (plan, checkpoints) =
+            build_plan("li", &program, budget, interval, warmup, &spec, None).unwrap();
+        let windows = checkpoints.cut(&plan, None).unwrap();
+        let records: u64 = windows.iter().map(|w| (w.warmup.len() + w.detail.len()) as u64).sum();
+        let bytes: u64 =
+            windows.iter().map(|w| w.warmup.approx_bytes() + w.detail.approx_bytes()).sum();
+        assert_eq!(records, plan.replayed_insts(), "every replayed record is held once per window");
+        assert!(records > 0);
+        assert!(bytes <= 30 * records, "{bytes} bytes for {records} records");
     }
 }

@@ -10,20 +10,21 @@
 //! register-reallocated program) is cut in one forward pass by the same
 //! routine.
 //!
-//! Only the planned windows are materialized — a 100M-instruction run
-//! with a handful of 250K-instruction representatives keeps a few MB in
-//! memory instead of the ~3.4GB a full [`TraceColumns`] would need.
-//! Detail records are re-based to seq 0 so each window is a
-//! self-contained committed stream any [`rvp_uarch::SharedSource`] can
-//! serve (the columns' `from_records` requires consecutive seqs from
-//! zero, and the timing core asserts stream contiguity).
+//! Only the planned windows are materialized, each record pushed
+//! straight into pre-sized [`TraceColumns`] at 30 bytes: a
+//! 100M-instruction run with a handful of 250K-instruction
+//! representatives keeps a few MB in memory instead of the ~3GB full
+//! columns would need. The warmup keeps its original seqs; the detail
+//! is re-based to seq 0, so each window is a self-contained committed
+//! stream any [`rvp_uarch::SharedSource`] can serve (a source starts at
+//! seq 0, and the timing core asserts stream contiguity).
 
 use std::sync::Arc;
 
 use rvp_emu::{Committed, Emulator};
 use rvp_isa::Program;
 use rvp_obs::CancelToken;
-use rvp_uarch::{SimError, TraceColumns};
+use rvp_uarch::{ColumnsBuilder, SimError, TraceColumns};
 
 use crate::plan::SamplePlan;
 
@@ -46,7 +47,7 @@ pub struct SampleWindow {
     pub cluster: usize,
     /// Functional-warmup records (original seqs), immediately preceding
     /// `start`; shorter than the plan's window at the stream head.
-    pub warmup: Arc<Vec<Committed>>,
+    pub warmup: Arc<TraceColumns>,
     /// The detail interval, re-based to seq 0.
     pub detail: Arc<TraceColumns>,
 }
@@ -227,23 +228,27 @@ fn cut<S: Resumable>(
         windows: plan.intervals.len() as u64,
         replayed: plan.replayed_insts()
     });
-    // (warmup range, detail range) per representative, in stream order.
+    // (warmup range, detail range) per representative, in stream order,
+    // each filling columns sized to its range.
     struct Pending {
         warmup_start: u64,
         detail_start: u64,
         detail_end: u64,
-        warmup: Vec<Committed>,
-        detail: Vec<Committed>,
+        warmup: ColumnsBuilder,
+        detail: ColumnsBuilder,
     }
     let mut pending: Vec<Pending> = plan
         .intervals
         .iter()
-        .map(|r| Pending {
-            warmup_start: r.start.saturating_sub(plan.warmup_insts),
-            detail_start: r.start,
-            detail_end: r.start + r.len,
-            warmup: Vec::new(),
-            detail: Vec::with_capacity(r.len as usize),
+        .map(|r| {
+            let warmup_start = r.start.saturating_sub(plan.warmup_insts);
+            Pending {
+                warmup_start,
+                detail_start: r.start,
+                detail_end: r.start + r.len,
+                warmup: ColumnsBuilder::new(warmup_start, (r.start - warmup_start) as usize),
+                detail: ColumnsBuilder::new(0, r.len as usize),
+            }
         })
         .collect();
 
@@ -263,11 +268,9 @@ fn cut<S: Resumable>(
         debug_assert_eq!(rec.seq, seq, "committed stream must be consecutive");
         for p in &mut pending[open..] {
             if seq >= p.warmup_start && seq < p.detail_start {
-                p.warmup.push(rec);
+                p.warmup.push(&rec);
             } else if seq >= p.detail_start && seq < p.detail_end {
-                let mut rebased = rec;
-                rebased.seq -= p.detail_start;
-                p.detail.push(rebased);
+                p.detail.push(&Committed { seq: seq - p.detail_start, ..rec });
             }
         }
         while pending.get(open).is_some_and(|p| seq + 1 >= p.detail_end) {
@@ -292,8 +295,8 @@ fn cut<S: Resumable>(
                 start: r.start,
                 weight: r.weight,
                 cluster: r.cluster,
-                warmup: Arc::new(p.warmup),
-                detail: Arc::new(TraceColumns::from_records(&p.detail)),
+                warmup: Arc::new(p.warmup.finish()),
+                detail: Arc::new(p.detail.finish()),
             }
         })
         .collect();
@@ -377,12 +380,13 @@ mod tests {
         let forward = extract_windows(plan, records.iter().map(|&r| Ok::<_, ()>(r))).unwrap();
         assert_eq!(windows.len(), plan.intervals.len());
         for (w, f) in windows.iter().zip(&forward) {
-            assert_eq!(w.warmup, f.warmup, "window {}: warmup differs", w.index);
+            let warmup: Vec<_> = w.warmup.records().collect();
+            assert_eq!(warmup, f.warmup.records().collect::<Vec<_>>(), "window {}", w.index);
             let (got, want): (Vec<_>, Vec<_>) =
                 (w.detail.records().collect(), f.detail.records().collect());
             assert_eq!(got, want, "window {}: detail differs", w.index);
             let warm_from = w.start.saturating_sub(plan.warmup_insts) as usize;
-            assert_eq!(w.warmup[..], records[warm_from..w.start as usize], "original seqs kept");
+            assert_eq!(warmup, records[warm_from..w.start as usize], "original seqs kept");
             for (i, rec) in got.iter().enumerate() {
                 let orig = records[w.start as usize + i];
                 assert_eq!(*rec, Committed { seq: i as u64, ..orig }, "detail is rebased");
@@ -400,7 +404,7 @@ mod tests {
         let (windows, _) = cut_and_check(&plan, &records, &checkpoints);
         assert!(windows[0].warmup.is_empty(), "no warmup before seq 0");
         assert_eq!(
-            windows[1].warmup.iter().map(|r| r.seq).collect::<Vec<_>>(),
+            windows[1].warmup.records().map(|r| r.seq).collect::<Vec<_>>(),
             (15..30).collect::<Vec<_>>()
         );
         assert_eq!(windows[2].warmup.len(), 15);
@@ -419,7 +423,7 @@ mod tests {
         let plan = plan_with(&[500, 510, 520], 10, 10);
         let (windows, emulated) = cut_and_check(&plan, &records, &checkpoints);
         assert_eq!(
-            windows[1].warmup.iter().map(|r| r.seq).collect::<Vec<_>>(),
+            windows[1].warmup.records().map(|r| r.seq).collect::<Vec<_>>(),
             (500..510).collect::<Vec<_>>()
         );
         assert!(emulated <= 40 + 10 + 30, "emulated {emulated} records for windows 490..530");

@@ -135,6 +135,7 @@ impl<'s, S: CommittedSource + ?Sized> Core<'s, S> {
 
             if predicted {
                 self.rob[idx].verified = true;
+                self.unverified.remove(seq);
                 if pred_correct {
                     self.clear_taint(seq);
                 } else if first_use != NO_SEQ {
@@ -471,21 +472,29 @@ impl<'s, S: CommittedSource + ?Sized> Core<'s, S> {
                 self.held_issued -= released;
             }
             Recovery::Reissue => {
-                // Everything younger than an unverified prediction stays.
-                let oldest_unverified =
-                    self.rob.iter().filter(|e| e.predicted && !e.verified).map(|e| e.rec.seq).min();
+                // Everything younger than the oldest unverified
+                // prediction stays; walk the holders up to it.
+                let head_seq = self.rob.front().expect("holders imply a non-empty ROB").rec.seq;
+                let len = self.rob.len();
+                let mut oldest_unverified = u64::MAX;
+                self.unverified.for_each_in_window(head_seq, len, &mut |s| {
+                    oldest_unverified = s;
+                    false
+                });
+                let holders = self.held_slots;
                 let mut released = 0usize;
-                for e in &mut self.rob {
-                    if e.in_iq && e.issued {
-                        let held = oldest_unverified.is_some_and(|s| e.rec.seq > s);
-                        if !held {
-                            e.in_iq = false;
-                            self.iq_occupancy[e.queue as usize] -= 1;
-                            self.held_slots.remove(e.rec.seq);
-                            released += 1;
-                        }
+                holders.for_each_in_window(head_seq, len, &mut |m| {
+                    if m > oldest_unverified {
+                        return false;
                     }
-                }
+                    let e = &mut self.rob[(m - head_seq) as usize];
+                    debug_assert!(e.in_iq && e.issued);
+                    e.in_iq = false;
+                    self.iq_occupancy[e.queue as usize] -= 1;
+                    self.held_slots.remove(m);
+                    released += 1;
+                    true
+                });
                 self.held_issued -= released;
             }
         }

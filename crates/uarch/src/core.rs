@@ -414,6 +414,9 @@ pub(crate) struct Core<'s, S: CommittedSource + ?Sized> {
     /// holding a queue slot), so the per-cycle release pass visits only
     /// holders instead of scanning the ROB.
     pub(crate) held_slots: RobSet,
+    /// Seqs of the predicted entries not yet verified, so reissue
+    /// recovery finds the oldest one without scanning the ROB.
+    pub(crate) unverified: RobSet,
     /// Entries with a non-empty taint set.
     pub(crate) tainted: usize,
     /// Dispatched-but-not-issued entries, by ROB slot, split per
@@ -503,6 +506,7 @@ impl<'s, S: CommittedSource + ?Sized> Core<'s, S> {
             writers: [0; 2],
             held_issued: 0,
             held_slots: RobSet::EMPTY,
+            unverified: RobSet::EMPTY,
             tainted: 0,
             to_issue: [RobSet::EMPTY; 2],
             issue_blocked: [RobSet::EMPTY; 2],
@@ -705,7 +709,15 @@ impl<'s, S: CommittedSource + ?Sized> Core<'s, S> {
                 "held-slot bitset drift at seq {}",
                 e.rec.seq
             );
+            assert_eq!(
+                self.unverified.contains(e.rec.seq),
+                e.predicted && !e.verified,
+                "unverified-prediction bitset drift at seq {}",
+                e.rec.seq
+            );
         }
+        let unverified = self.rob.iter().filter(|e| e.predicted && !e.verified).count();
+        assert_eq!(self.unverified.len(), unverified, "unverified-prediction count drift");
         let tainted = self.rob.iter().filter(|e| !e.taint.is_empty()).count();
         assert_eq!(self.tainted, tainted, "tainted count drift");
         // Reverse taint index: every member of a live taint set must be

@@ -132,6 +132,10 @@ impl<'s, S: CommittedSource + ?Sized> Core<'s, S> {
             if m.is_store {
                 self.stores.push_back(rec.seq);
             }
+            let predicted = predicted && pred_value.is_some();
+            if predicted {
+                self.unverified.insert(rec.seq);
+            }
 
             self.rob.push_back(Entry {
                 rec,
@@ -148,7 +152,7 @@ impl<'s, S: CommittedSource + ?Sized> Core<'s, S> {
                 mem_extra: 0,
                 reissued: false,
                 taint: RobSet::EMPTY,
-                predicted: predicted && pred_value.is_some(),
+                predicted,
                 pred_value,
                 pred_correct,
                 pred_dep: pred_dep.unwrap_or(NO_SEQ),

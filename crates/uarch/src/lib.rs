@@ -67,7 +67,7 @@ mod warmup;
 mod wheel;
 
 pub use crate::core::Simulator;
-pub use columns::TraceColumns;
+pub use columns::{ColumnsBuilder, TraceColumns};
 pub use config::{Latencies, UarchConfig};
 pub use scheme::{PlanMode, Recovery, Scheme};
 pub use source::{CommittedSource, EmuSource, SharedSource};

@@ -237,6 +237,7 @@ impl<'s, S: CommittedSource + ?Sized> Core<'s, S> {
             let e = self.rob.pop_back().expect("non-empty");
             self.stats.squashed_insts += 1;
             self.to_issue[e.queue as usize].remove(e.rec.seq);
+            self.unverified.remove(e.rec.seq);
             if !e.taint.is_empty() {
                 self.tainted -= 1;
             }

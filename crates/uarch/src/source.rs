@@ -34,7 +34,7 @@ use std::sync::Arc;
 use rvp_emu::{Committed, Emulator};
 use rvp_isa::Program;
 
-use crate::columns::TraceColumns;
+use crate::columns::{ColumnsBuilder, TraceColumns};
 use crate::stats::SimError;
 
 // `Committed` records are the unit of every source's storage and of the
@@ -75,6 +75,11 @@ pub trait CommittedSource {
 /// squash's depth (bounded by the ROB plus the fetched-but-undispatched
 /// suffix) is the realistic high-water mark.
 const PENDING_CAPACITY: usize = 256;
+
+/// Most records [`SharedSource::capture`] reserves room for before
+/// emulating (480 MiB of columns); a longer capture grows its columns
+/// as it goes.
+const CAPTURE_PRESIZE: u64 = 1 << 24;
 
 /// Live functional emulation — the fallback source and the exact
 /// pre-refactor behaviour of the timing core.
@@ -133,11 +138,12 @@ impl CommittedSource for EmuSource<'_> {
 /// captured once per (workload, input, budget) and fanned out to every
 /// grid cell.
 ///
-/// Because the trace is captured from `seq == 0`, the column index *is*
-/// the seq, and rewinding is a cursor move — refetch recovery does no
-/// work at all on this source. The fetch stage's
-/// [`peek_pc`](CommittedSource::peek_pc) probe touches only the hot PC
-/// column; a full record is assembled once, on consumption.
+/// The trace starts at `seq == 0` (a capture, or a re-based sampled
+/// window), so the column index *is* the seq, and rewinding is a cursor
+/// move — refetch recovery does no work at all on this source. The
+/// fetch stage's [`peek_pc`](CommittedSource::peek_pc) probe touches
+/// only the hot PC column; a full record is assembled once, on
+/// consumption.
 #[derive(Debug, Clone)]
 pub struct SharedSource {
     trace: Arc<TraceColumns>,
@@ -155,16 +161,20 @@ impl SharedSource {
 
     /// Functionally emulates `program` for at most `max_insts`
     /// committed instructions and returns the decoded columnar trace.
+    /// The columns are sized for `max_insts` records up front (at most
+    /// 16M), so a capture that runs to its budget never reallocates
+    /// them.
     pub fn capture(program: &Program, max_insts: u64) -> Result<Arc<TraceColumns>, SimError> {
         let mut emu = Emulator::new(program);
-        let mut trace = Vec::new();
+        let presize = max_insts.min(CAPTURE_PRESIZE) as usize;
+        let mut trace = ColumnsBuilder::new(0, presize);
         while (trace.len() as u64) < max_insts {
             match emu.step()? {
-                Some(rec) => trace.push(rec),
+                Some(rec) => trace.push(&rec),
                 None => break,
             }
         }
-        Ok(Arc::new(TraceColumns::from_records(&trace)))
+        Ok(Arc::new(trace.finish()))
     }
 
     /// The underlying trace (for sharing with further cells).
@@ -195,8 +205,8 @@ impl CommittedSource for SharedSource {
 
     fn rewind(&mut self, squashed: &mut Vec<Committed>) {
         if let Some(first) = squashed.first() {
-            debug_assert_eq!(self.trace.record(first.seq as usize).map(|r| r.seq), Some(first.seq));
-            self.cursor = first.seq as usize;
+            self.cursor = (first.seq - self.trace.first_seq()) as usize;
+            debug_assert_eq!(self.trace.record(self.cursor).map(|r| r.seq), Some(first.seq));
         }
         squashed.clear();
     }

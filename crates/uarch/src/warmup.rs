@@ -25,6 +25,7 @@ use rvp_emu::Committed;
 use rvp_isa::{Program, Reg, NUM_REGS, NUM_REGS_PER_CLASS};
 use rvp_vpred::{Decision, Outcome, ReuseKind};
 
+use crate::columns::TraceColumns;
 use crate::core::{Core, Simulator};
 use crate::meta::PredMode;
 use crate::source::CommittedSource;
@@ -85,18 +86,18 @@ fn sub_mem(a: &rvp_mem::HierarchyStats, b: &rvp_mem::HierarchyStats) -> rvp_mem:
 }
 
 impl Simulator {
-    /// Replays `records` (commit order, any contiguous slice of a run)
-    /// through the branch predictor, cache hierarchy and value
-    /// predictor at zero timing cost, returning the architectural
+    /// Replays `records` (any contiguous slice of a run, at its
+    /// original seqs) through the branch predictor, cache hierarchy and
+    /// value predictor at zero timing cost, returning the architectural
     /// [`WarmState`] at the end of the slice. Mirrors the pipeline's
     /// training points exactly; see the module docs.
-    pub fn functional_warmup(&mut self, program: &Program, records: &[Committed]) -> WarmState {
+    pub fn functional_warmup(&mut self, program: &Program, records: &TraceColumns) -> WarmState {
         let _span = rvp_obs::span!("sample.warmup", { insts: records.len() as u64 });
         let meta = crate::meta::build(program, &self.scheme, &self.config);
         let mut warm = WarmState::fresh(program.len());
         let mut last_line = u64::MAX;
         let scope = self.scheme.scope;
-        for rec in records {
+        for rec in records.records() {
             let m = &meta[rec.pc];
             // I-cache/ITLB: one access per new fetch line, as in fetch.
             if m.line != last_line {
@@ -111,7 +112,7 @@ impl Simulator {
             // The dispatch-point prediction decision, resolved against
             // the warm architectural state. Run for its training side
             // effects; the candidate feeds commit-time outcome training.
-            let pred_value = self.warm_decide(rec, m.mode, &warm);
+            let pred_value = self.warm_decide(&rec, m.mode, &warm);
             let corr_observed = match rec.dst {
                 Some(dst) if m.corr_learn => {
                     if rec.old_value == rec.new_value {
@@ -238,7 +239,6 @@ mod tests {
     use rvp_isa::{ProgramBuilder, Reg};
 
     use super::*;
-    use crate::columns::TraceColumns;
     use crate::config::UarchConfig;
     use crate::scheme::{Recovery, Scheme};
     use crate::source::SharedSource;
@@ -263,8 +263,7 @@ mod tests {
     }
 
     fn records_of(program: &Program, n: u64) -> Vec<Committed> {
-        let trace = SharedSource::capture(program, n).expect("capture");
-        (0..trace.len()).map(|i| trace.record(i).expect("in range")).collect()
+        SharedSource::capture(program, n).expect("capture").records().collect()
     }
 
     fn rebase(records: &[Committed]) -> Arc<TraceColumns> {
@@ -279,7 +278,7 @@ mod tests {
         let records = records_of(&program, 500);
         let mut sim =
             Simulator::new(UarchConfig::table1(), Scheme::no_predict(), Recovery::Refetch);
-        let warm = sim.functional_warmup(&program, &records);
+        let warm = sim.functional_warmup(&program, &TraceColumns::from_records(&records));
         // The shadow file must equal the emulator's register state at
         // the slice boundary: reconstruct it from the records.
         let mut expect = WarmState::fresh(program.len());
@@ -301,7 +300,7 @@ mod tests {
         let (head, tail) = all.split_at(600);
         let mut sim =
             Simulator::new(UarchConfig::table1(), Scheme::no_predict(), Recovery::Refetch);
-        let warm = sim.functional_warmup(&program, head);
+        let warm = sim.functional_warmup(&program, &TraceColumns::from_records(head));
         let mut source = SharedSource::new(rebase(tail));
         let stats = sim
             .run_warmed_with_source(&program, &mut source, tail.len() as u64, &warm)
@@ -335,7 +334,7 @@ mod tests {
 
         let mut sim =
             Simulator::new(UarchConfig::table1(), Scheme::no_predict(), Recovery::Refetch);
-        let warm = sim.functional_warmup(&program, head);
+        let warm = sim.functional_warmup(&program, &TraceColumns::from_records(head));
         let mut src = SharedSource::new(detail);
         let warm_stats = sim
             .run_warmed_with_source(&program, &mut src, tail.len() as u64, &warm)
@@ -361,7 +360,7 @@ mod tests {
         let all = records_of(&program, 2_000);
         let (head, tail) = all.split_at(1_000);
         let mut sim = Simulator::new(UarchConfig::table1(), Scheme::lvp_all(), Recovery::Selective);
-        let warm = sim.functional_warmup(&program, head);
+        let warm = sim.functional_warmup(&program, &TraceColumns::from_records(head));
         let mut source = SharedSource::new(rebase(tail));
         let stats = sim
             .run_warmed_with_source(&program, &mut source, tail.len() as u64, &warm)

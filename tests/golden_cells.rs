@@ -9,18 +9,40 @@
 //! `RVP_PROFILE_INSTS=120000` and `Runner` defaults otherwise. To
 //! regenerate after an *intentional* modelling change, delete the
 //! fixture files and rerun this test with `RVP_BLESS_GOLDEN=1`.
+//!
+//! `tests/fixtures/golden_reissue/` holds the same grid under
+//! [`Recovery::Reissue`] (the default runs selective recovery), so the
+//! reissue queue-slot release path is pinned too. It is a directory of
+//! its own: the benchmark re-checks `golden_cells/` as exactly the 30
+//! selective cells.
 
 use std::path::PathBuf;
 
-use rvp_core::{by_name, paper_schemes, Runner, ToJson};
+use rvp_core::{by_name, paper_schemes, Recovery, Runner, ToJson};
 
 fn fixture_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/golden_cells")
+    fixtures("golden_cells")
+}
+
+fn fixtures(set: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures").join(set)
 }
 
 #[test]
 fn paper_scheme_cells_are_bit_identical_to_the_fixtures() {
-    let runner = Runner { measure_insts: 60_000, profile_insts: 120_000, ..Runner::default() };
+    check_fixtures("golden_cells", Recovery::Selective);
+}
+
+#[test]
+fn reissue_cells_are_bit_identical_to_the_fixtures() {
+    check_fixtures("golden_reissue", Recovery::Reissue);
+}
+
+/// Runs li and go × the 15 paper schemes under `recovery` at the
+/// fixture budgets and compares each cell's JSON with `set`'s file.
+fn check_fixtures(set: &str, recovery: Recovery) {
+    let runner =
+        Runner { measure_insts: 60_000, profile_insts: 120_000, recovery, ..Runner::default() };
     let bless = std::env::var_os("RVP_BLESS_GOLDEN").is_some();
     let mut mismatches = Vec::new();
 
@@ -29,7 +51,7 @@ fn paper_scheme_cells_are_bit_identical_to_the_fixtures() {
         for scheme in &paper_schemes() {
             let result = runner.run(&wl, scheme).expect("cell runs");
             let got = format!("{}\n", result.to_json());
-            let path = fixture_dir().join(format!("{workload}-{}.json", scheme.label()));
+            let path = fixtures(set).join(format!("{workload}-{}.json", scheme.label()));
             if bless && !path.exists() {
                 std::fs::write(&path, &got).expect("write fixture");
                 continue;
@@ -44,7 +66,7 @@ fn paper_scheme_cells_are_bit_identical_to_the_fixtures() {
 
     assert!(
         mismatches.is_empty(),
-        "cell JSON drifted from the pre-registry fixtures: {}",
+        "cell JSON drifted from the {set} fixtures: {}",
         mismatches.join(", ")
     );
 }
@@ -59,11 +81,13 @@ fn fixture_set_covers_exactly_the_paper_grid() {
             expected.push(format!("{workload}-{}.json", scheme.label()));
         }
     }
-    let mut on_disk: Vec<String> = std::fs::read_dir(fixture_dir())
-        .expect("fixture dir exists")
-        .map(|e| e.unwrap().file_name().into_string().unwrap())
-        .collect();
     expected.sort();
-    on_disk.sort();
-    assert_eq!(on_disk, expected, "fixture files must match the paper grid exactly");
+    for dir in [fixture_dir(), fixtures("golden_reissue")] {
+        let mut on_disk: Vec<String> = std::fs::read_dir(&dir)
+            .expect("fixture dir exists")
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        on_disk.sort();
+        assert_eq!(on_disk, expected, "{}: files must match the paper grid", dir.display());
+    }
 }
